@@ -11,7 +11,7 @@ import numpy as np
 
 from ._stats import loglog_slope
 from .hamiltonian import SparseHamiltonian, l1_distance, linf_distance, op_distance, random_instance
-from .learner import LearnerParams, learn_hamiltonian
+from .learner import LearnerParams, LearnResult, learn_hamiltonian
 from .oracle import EvolutionOracle, OracleConfig
 
 
@@ -93,18 +93,28 @@ def run_learning_trial(
         shots_c1=shots_c1,
     )
     result = learn_hamiltonian(oracle, params, learner_rng)
+    return trial_record(hamiltonian, result, s=s, eps=eps, seed=seed)
 
-    linf = linf_distance(hamiltonian, result.hamiltonian)
-    success = linf <= eps and result.hamiltonian.support <= hamiltonian.support
+
+def trial_record(
+    truth: SparseHamiltonian, result: LearnResult, s: int, eps: float, seed: int
+) -> TrialRecord:
+    """Compare a learner's output with the true Hamiltonian.
+
+    Success is the learner's guarantee: every coefficient within ``eps``
+    and no learned term outside the true support.
+    """
+    learned = result.hamiltonian
+    linf = linf_distance(truth, learned)
     led = result.ledger
     return TrialRecord(
         s=s,
         eps=eps,
         seed=seed,
-        success=success,
+        success=linf <= eps and learned.support <= truth.support,
         linf_error=linf,
-        l1_error=l1_distance(hamiltonian, result.hamiltonian),
-        op_error=op_distance(hamiltonian, result.hamiltonian),
+        l1_error=l1_distance(truth, learned),
+        op_error=op_distance(truth, learned),
         experiments=led.experiments,
         total_time=led.total_evolution_time,
         queries=led.queries,

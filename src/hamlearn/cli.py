@@ -88,18 +88,11 @@ def _cmd_learn(args) -> int:
     if args.ledger_out is not None:
         _write(args.ledger_out, json.dumps(result.ledger.to_json_dict(), indent=2) + "\n")
 
-    from .hamiltonian import linf_distance, op_distance
-
-    linf = linf_distance(h, result.hamiltonian)
-    op_err = op_distance(h, result.hamiltonian)
-    success = linf <= args.eps and result.hamiltonian.support <= h.support
-    led = result.ledger
-    res = led.min_time_resolution
-    res_text = "inf" if res == float("inf") else f"{res:.12g}"
+    rec = bench_mod.trial_record(h, result, s=h.sparsity, eps=args.eps, seed=args.seed)
     print("seed,success,linf_error,op_error,experiments,total_time,queries,min_resolution")
     print(
-        f"{args.seed},{1 if success else 0},{linf:.12g},{op_err:.12g},"
-        f"{led.experiments},{led.total_evolution_time:.12g},{led.queries},{res_text}"
+        f"{rec.seed},{1 if rec.success else 0},{rec.linf_error:.12g},{rec.op_error:.12g},"
+        f"{rec.experiments},{rec.total_time:.12g},{rec.queries},{rec.min_resolution:.12g}"
     )
     return 0
 

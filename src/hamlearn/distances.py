@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pauli as pl
 from .errors import DimensionMismatchError
-from .hamiltonian import SparseHamiltonian
-from .pauli import DEFAULT_DENSE_LIMIT, PauliString
+from .hamiltonian import SparseHamiltonian, eigh
+from .pauli import PauliString
 
 _UNITARITY_TOL = 1e-10
 DEFAULT_GRID = 2048
@@ -163,11 +164,11 @@ def _sup_on_grid(f, budget: float, grid: int, refine: bool) -> tuple[float, floa
     return best_x, best_v
 
 
-def _eigensystems(h1: SparseHamiltonian, h2: SparseHamiltonian, dense_limit: int):
+def _eigensystems(h1: SparseHamiltonian, h2: SparseHamiltonian):
     if h1.n != h2.n:
         raise DimensionMismatchError("Hamiltonians act on different qubit counts")
-    w1, a = np.linalg.eigh(h1.dense_matrix(dense_limit))
-    w2, b = np.linalg.eigh(h2.dense_matrix(dense_limit))
+    w1, a = eigh(h1.dense_matrix())
+    w2, b = eigh(h2.dense_matrix())
     return w1, a, w2, b
 
 
@@ -177,7 +178,6 @@ def d_T(
     T: float,
     grid: int = DEFAULT_GRID,
     refine: bool = True,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DistanceResult:
     """Time-constrained diamond distance over evolution times in [0, T].
 
@@ -190,7 +190,7 @@ def d_T(
         raise ValueError("time budget must be positive")
     if grid < 2:
         raise ValueError("grid must have at least two points")
-    w1, a, w2, b = _eigensystems(h1, h2, dense_limit)
+    w1, a, w2, b = _eigensystems(h1, h2)
     m = a.conj().T @ b
     m_dag = m.conj().T
 
@@ -231,7 +231,6 @@ def d_B(
     B: float,
     grid: int = DEFAULT_GRID,
     refine: bool = True,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DistanceResult:
     """Temperature-constrained trace distance over beta in [0, B].
 
@@ -246,8 +245,8 @@ def d_B(
         raise ValueError("grid must have at least two points")
     if h1.n != h2.n:
         raise DimensionMismatchError("Hamiltonians act on different qubit counts")
-    m1 = h1.dense_matrix(dense_limit)
-    m2 = h2.dense_matrix(dense_limit)
+    m1 = h1.dense_matrix()
+    m2 = h2.dense_matrix()
 
     if _is_diagonal(m1) and _is_diagonal(m2):
         w1 = np.real(np.diag(m1))
@@ -257,8 +256,8 @@ def d_B(
             return 0.5 * float(np.abs(_gibbs_weights(w1, beta) - _gibbs_weights(w2, beta)).sum())
 
     else:
-        w1, a = np.linalg.eigh(m1)
-        w2, b = np.linalg.eigh(m2)
+        w1, a = eigh(m1)
+        w2, b = eigh(m2)
         b_dag = b.conj().T
 
         def f(beta: float) -> float:
@@ -278,9 +277,7 @@ def d_B(
 
 
 def gibbs_trace_bound_check(
-    h1: SparseHamiltonian,
-    h2: SparseHamiltonian,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    h1: SparseHamiltonian, h2: SparseHamiltonian
 ) -> tuple[float, float, float]:
     """Trace-norm gap of e^{H}/Tr e^{H} states against both known bounds.
 
@@ -288,11 +285,11 @@ def gibbs_trace_bound_check(
     the new bound is ||H1 - H2||_op itself, the older one the exponential
     2 (e^{||H1 - H2||_op} - 1).
     """
-    w1, a, w2, b = _eigensystems(h1, h2, dense_limit)
+    w1, a, w2, b = _eigensystems(h1, h2)
     rho1 = (a * _gibbs_weights(w1, -1.0)) @ a.conj().T
     rho2 = (b * _gibbs_weights(w2, -1.0)) @ b.conj().T
     lhs = float(np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum())
-    gap = (h1 - h2).op_norm(dense_limit)
+    gap = (h1 - h2).op_norm()
     return lhs, gap, 2.0 * (math.exp(gap) - 1.0)
 
 
@@ -311,7 +308,7 @@ class CounterexamplePair:
     sparse_2: SparseHamiltonian
 
 
-def counterexample_family(n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CounterexamplePair:
+def counterexample_family(n: int) -> CounterexamplePair:
     """The pair +-(|0..0><0..0| - |1..1><1..1|) on n qubits.
 
     Its operator-norm gap is 2 for every n, yet for any fixed inverse
@@ -322,10 +319,7 @@ def counterexample_family(n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Cou
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    if n > dense_limit:
-        from .errors import CapacityError
-
-        raise CapacityError(f"counterexample at n={n} > dense limit {dense_limit}")
+    pl.check_dense(n)
     dim = 1 << n
     d1 = np.zeros((dim, dim), dtype=complex)
     d1[0, 0] = 1.0
@@ -353,16 +347,14 @@ def counterexample_trace_distance(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def eigenphase_lower_bound(
-    h: SparseHamiltonian, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> float:
+def eigenphase_lower_bound(h: SparseHamiltonian) -> float:
     """Spectral lower bound on the half diamond distance of e^{-iH} to Id.
 
     Evaluates (1/2 pi) max over eigenvalue pairs of the smaller circular
     separation min(|p(l_j) - p(l_k)|, |q(l_j) - q(l_k)|); for traceless H
     with ||H||_op <= pi/2 this is itself at least ||H||_op / (2 pi).
     """
-    evals = h.spectral_data(dense_limit).eigenvalues
+    evals = h.spectral_data().eigenvalues
     p = circle_p(evals)
     q = circle_q(evals)
     dp = np.abs(p[:, None] - p[None, :])

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import pauli as pl
-from .errors import CapacityError, DimensionMismatchError
-from .pauli import DEFAULT_DENSE_LIMIT, PauliString
+from .errors import DimensionMismatchError
+from .pauli import PauliString
 
 # Coefficients produced by arithmetic below this magnitude are treated as
 # exact zeros (about 100x double-precision epsilon at unit scale).
@@ -157,21 +157,17 @@ class SparseHamiltonian:
 
     # -- dense / spectral -------------------------------------------------
 
-    def dense_matrix(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    def dense_matrix(self) -> np.ndarray:
         """Hermitian matrix ``sum_P h_P dense(P)``."""
-        if self.n > dense_limit:
-            raise CapacityError(f"dense assembly at n={self.n} > limit {dense_limit}")
+        pl.check_dense(self.n)
         dim = 1 << self.n
         m = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
         for p, c in self._terms.items():
-            rows = cols ^ p.x_bits
-            signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z_bits) & 1)
-            phase = 1j ** ((p.x_bits & p.z_bits).bit_count() % 4)
-            m[rows, cols] += c * phase * signs
+            rows, cols, values = pl.nonzeros(p)
+            m[rows, cols] += c * values
         return m
 
-    def norms(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> tuple[float, float, float, float]:
+    def norms(self) -> tuple[float, float, float, float]:
         """Return ``(l1, l2, linf, op)`` norms of the coefficient vector.
 
         The operator norm is computed by dense eigendecomposition and obeys
@@ -181,17 +177,17 @@ class SparseHamiltonian:
         l1 = float(np.abs(coeffs).sum())
         l2 = float(np.sqrt((coeffs**2).sum()))
         linf = float(np.abs(coeffs).max()) if coeffs.size else 0.0
-        return l1, l2, linf, self.op_norm(dense_limit)
+        return l1, l2, linf, self.op_norm()
 
-    def op_norm(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
+    def op_norm(self) -> float:
         if not self._terms:
             return 0.0
-        evals = np.linalg.eigvalsh(self.dense_matrix(dense_limit))
+        evals = np.linalg.eigvalsh(self.dense_matrix())
         return float(np.abs(evals).max())
 
-    def spectral_data(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SpectralData:
+    def spectral_data(self) -> SpectralData:
         """Sorted eigenvalues; spread is ``lambda_max - lambda_min``."""
-        evals = np.sort(np.linalg.eigvalsh(self.dense_matrix(dense_limit)))
+        evals = np.sort(np.linalg.eigvalsh(self.dense_matrix()))
         return SpectralData(evals, float(evals[-1] - evals[0]))
 
     # -- serialization ------------------------------------------------------
@@ -273,11 +269,18 @@ def l1_distance(h1: SparseHamiltonian, h2: SparseHamiltonian) -> float:
     return sum(abs(h1.coeff(p) - h2.coeff(p)) for p in h1.support | h2.support)
 
 
-def op_distance(
-    h1: SparseHamiltonian, h2: SparseHamiltonian, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> float:
-    return (h1 - h2).op_norm(dense_limit)
+def op_distance(h1: SparseHamiltonian, h2: SparseHamiltonian) -> float:
+    return (h1 - h2).op_norm()
 
 
-def effective_support(h: SparseHamiltonian, eps: float) -> set[PauliString]:
-    return h.effective_support(eps)
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, retried once on LAPACK failure.
+
+    ``numpy.linalg.eigh`` (zheevd) occasionally reports "Eigenvalues did not
+    converge" on exactly Hermitian, highly degenerate inputs; the retry
+    reads the upper triangle instead, which runs a different reduction.
+    """
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigh(m, UPLO="U")

@@ -163,14 +163,11 @@ def vv_statistics(
 
     high = np.uint64(1) << np.uint64(m)
     xs = rng.integers(1, high, size=(trials, set_size), dtype=np.uint64)
-    # Redraw colliding entries until every row holds distinct values.
-    while True:
-        srt = np.sort(xs, axis=1)
-        dup_rows = (srt[:, 1:] == srt[:, :-1]).any(axis=1) if set_size > 1 else np.zeros(trials, bool)
-        if not dup_rows.any():
-            break
-        ridx = np.where(dup_rows)[0]
-        xs[ridx] = rng.integers(1, high, size=(ridx.size, set_size), dtype=np.uint64)
+    # A row without a repeat is uniform over distinct tuples; redraw each
+    # row with a repeat once, without replacement, so every row is.
+    srt = np.sort(xs, axis=1)
+    for i in np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1)):
+        xs[i] = rng.choice(2**m - 1, set_size, replace=False) + 1
 
     if r == 0:
         counts = np.full(trials, set_size)

@@ -27,15 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from . import pauli as pl
-from .errors import BudgetError, CapacityError
-from .hamiltonian import SparseHamiltonian
-from .pauli import DEFAULT_DENSE_LIMIT, PauliString
+from .distances import _UNITARITY_TOL, _unitarity_defect, half_diamond_unitary
+from .errors import BudgetError
+from .hamiltonian import SparseHamiltonian, eigh
+from .pauli import PauliString
 
 # Restricted term sets up to this size with pairwise-commuting members are
 # expanded in closed form instead of densely exponentiated.
 _STRUCTURED_TERM_CAP = 10
-
-_UNITARITY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +89,15 @@ class ResourceLedger:
 class OracleConfig:
     """Knobs of the simulated access model.
 
+    ``mode`` selects the backend, ``"exact"`` or ``"trotter"``.
     ``spam_lambda`` is the strength of the depolarizing mixture applied to
     the Choi-state outcome distribution, modeling a combined
     state-preparation and measurement error of the same diamond-norm size.
     ``trotter_epsilon`` is the diamond-norm budget granted to product
     formulas; ``kappa`` the explicit constant in their step count.
+    ``seed`` seeds the oracle's RNG when none is passed, and
+    ``query_budget``, if set, caps the queries of one restricted-evolution
+    charge. Dense simulation is capped at ``pauli.DENSE_LIMIT`` qubits.
     """
 
     mode: str = "exact"
@@ -102,7 +105,6 @@ class OracleConfig:
     trotter_epsilon: float = 0.01
     kappa: float = 1.0
     seed: int | None = None
-    dense_limit: int = DEFAULT_DENSE_LIMIT
     query_budget: int | None = None
 
     def __post_init__(self):
@@ -192,16 +194,13 @@ def pauli_coefficient(u: np.ndarray, p: PauliString) -> complex:
     dim = u.shape[0]
     if dim != 1 << p.n:
         raise ValueError("matrix dimension does not match Pauli qubit count")
-    cols = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z_bits) & 1)
-    phase = 1j ** ((p.x_bits & p.z_bits).bit_count() % 4)
-    return complex(phase * np.sum(signs * u[cols, cols ^ p.x_bits]) / dim)
+    rows, cols, values = pl.nonzeros(p)
+    return complex(np.sum(values * u[cols, rows]) / dim)
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    gram = u.conj().T @ u
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.abs(gram).max())
+def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
+    """``e^{-itH}`` from the eigendecomposition ``H = evecs diag(evals) evecs^dag``."""
+    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +235,9 @@ class EvolutionOracle:
 
     # -- internals ------------------------------------------------------
 
-    def _check_capacity(self):
-        if self.n > self.config.dense_limit:
-            raise CapacityError(
-                f"oracle simulation at n={self.n} > dense limit {self.config.dense_limit}"
-            )
-
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig_cache is None:
-            self._check_capacity()
-            evals, evecs = np.linalg.eigh(self.hamiltonian.dense_matrix(self.config.dense_limit))
-            self._eig_cache = (evals, evecs)
+            self._eig_cache = eigh(self.hamiltonian.dense_matrix())
         return self._eig_cache
 
     def _op_norm(self) -> float:
@@ -310,8 +301,7 @@ class EvolutionOracle:
         """Return ``e^{-iHt}``; charges one query of duration ``t``."""
         if t < 0:
             raise ValueError("negative evolution time (model reversal as conjugation)")
-        evals, evecs = self._eigensystem()
-        u = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+        u = _evolution(*self._eigensystem(), t)
         self.ledger.charge_evolution(t, queries=1, resolution=t if t > 0 else None)
         return u
 
@@ -331,7 +321,7 @@ class EvolutionOracle:
         """
         if t < 0:
             raise ValueError("negative evolution time")
-        self._check_capacity()
+        pl.check_dense(self.n)
         qs = list(qs)
         if self.config.mode == "trotter" and qs:
             u = self._execute_trotter(qs, t, drift)
@@ -342,12 +332,10 @@ class EvolutionOracle:
 
     def _exact_restricted_unitary(self, qs, t, drift) -> np.ndarray:
         if not qs and drift is None:
-            evals, evecs = self._eigensystem()
-            return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+            return _evolution(*self._eigensystem(), t)
         terms = self._restricted_terms(qs, drift)
         h = SparseHamiltonian(self.n, dict(terms))
-        evals, evecs = np.linalg.eigh(h.dense_matrix(self.config.dense_limit))
-        return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+        return _evolution(*eigh(h.dense_matrix()), t)
 
     def _execute_trotter(self, qs, t, drift) -> np.ndarray:
         """Multiply out the second-order product formula for H_{Q_1..Q_r}.
@@ -358,9 +346,8 @@ class EvolutionOracle:
         """
         r = len(qs)
         plan = self._trotter_plan(r, t)
-        evals, evecs = self._eigensystem()
         tau = t / ((1 << r) * 2 * plan.l)
-        base = (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
+        base = _evolution(*self._eigensystem(), tau)
 
         factors = []
         for mask in range(1 << r):
@@ -368,14 +355,14 @@ class EvolutionOracle:
             for i in range(r):
                 if mask >> i & 1:
                     prod, _ = pl.multiply(qs[i], prod)
-            d = pl.dense(prod, self.config.dense_limit)
+            d = pl.dense(prod)
             factors.append(d @ base @ d.conj().T)
         if drift is not None:
             p0, dcoef = drift
             theta = dcoef * t / (2 * plan.l)
             eye = np.eye(1 << self.n, dtype=complex)
             factors.append(
-                math.cos(theta) * eye - 1j * math.sin(theta) * pl.dense(p0, self.config.dense_limit)
+                math.cos(theta) * eye - 1j * math.sin(theta) * pl.dense(p0)
             )
 
         # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
@@ -396,7 +383,7 @@ class EvolutionOracle:
         qubits and measuring in the Bell basis, with the configured SPAM
         depolarization mixed in. Charges one experiment.
         """
-        self._check_capacity()
+        pl.check_dense(self.n)
         dim = 1 << self.n
         if u.shape != (dim, dim):
             raise ValueError("unitary has wrong dimension for this oracle")
@@ -428,7 +415,7 @@ class EvolutionOracle:
         """
         if t < 0:
             raise ValueError("negative evolution time")
-        self._check_capacity()
+        pl.check_dense(self.n)
         qs = list(qs)
         self._charge_restricted(len(qs), t)
         self.ledger.charge_experiment(1, ancilla=self.n)
@@ -517,7 +504,7 @@ class EvolutionOracle:
             raise ValueError("shots must be >= 1")
         if t < 0:
             raise ValueError("negative evolution time")
-        self._check_capacity()
+        pl.check_dense(self.n)
         qs = list(qs)
         amp = self.target_coefficient(qs, drift, p0, t)
         self._charge_restricted(len(qs), t, executions=shots)
@@ -553,7 +540,6 @@ def calibrate_trotter_kappa(
     evaluated in closed form. Returns the first ``kappa`` whose executions
     all fit within ``epsilon``.
     """
-    from .distances import half_diamond_unitary
     from .hamiltonian import random_instance
 
     kappa = start

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError
 
 # Largest qubit count for which dense 2^n x 2^n materialization is allowed.
-DEFAULT_DENSE_LIMIT = 12
+DENSE_LIMIT = 12
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -184,17 +184,30 @@ def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
     return r, 1j**k
 
 
-def dense(p: PauliString, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of the Hermitian Pauli string."""
-    if p.n > dense_limit:
-        raise CapacityError(f"dense Pauli requested at n={p.n} > limit {dense_limit}")
-    dim = 1 << p.n
-    cols = np.arange(dim)
-    rows = cols ^ p.x_bits
+def check_dense(n: int) -> None:
+    """Raise :class:`CapacityError` if 2^n x 2^n matrices exceed ``DENSE_LIMIT``."""
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"dense simulation requested at n={n} > limit {DENSE_LIMIT}")
+
+
+def nonzeros(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^n nonzero entries of ``dense(p)`` as ``(rows, cols, values)``.
+
+    Column ``c`` holds ``i^{|x&z|} (-1)^{|c&z|}`` in row ``c ^ x``; every
+    value lies in ``{1, i, -1, -i}``, so scaling by it is exact.
+    """
+    cols = np.arange(1 << p.n)
     signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z_bits) & 1)
     phase = 1j ** ((p.x_bits & p.z_bits).bit_count() % 4)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = phase * signs
+    return cols ^ p.x_bits, cols, phase * signs
+
+
+def dense(p: PauliString) -> np.ndarray:
+    """Dense 2^n x 2^n complex matrix of the Hermitian Pauli string."""
+    check_dense(p.n)
+    rows, cols, values = nonzeros(p)
+    m = np.zeros((cols.size, cols.size), dtype=complex)
+    m[rows, cols] = values
     return m
 
 
@@ -232,9 +245,3 @@ def random_commuting(p: PauliString, rng: np.random.Generator) -> PauliString:
         return PauliString(p.n, q.x_bits ^ pivot, q.z_bits)
     pivot = p.x_bits & -p.x_bits
     return PauliString(p.n, q.x_bits, q.z_bits ^ pivot)
-
-
-def all_strings(n: int):
-    """Iterate all 4^n Pauli strings in flat index order (test-sized n only)."""
-    for idx in range(4**n):
-        yield PauliString.from_index(n, idx)

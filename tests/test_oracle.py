@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import hamlearn
 from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
 from hamlearn.errors import BudgetError, CapacityError
@@ -116,6 +120,43 @@ def test_evolve_matches_scipy_expm():
         t = float(rng.uniform(0.1, 3.0))
         u = make_oracle(h).evolve(t)
         assert np.allclose(u, expm(-1j * t * kron_hamiltonian({p.label: c for p, c in h})), atol=1e-10)
+
+
+_EIGH_FAILURE_SCRIPT = """
+import sys
+import numpy as np
+from hamlearn.distances import d_T
+from hamlearn.hamiltonian import SparseHamiltonian
+from hamlearn.oracle import EvolutionOracle
+
+h = SparseHamiltonian.from_json_dict({"n": 8, "terms": %r})
+np.save(sys.argv[1], EvolutionOracle(h).evolve(1.0))
+EvolutionOracle(h, rng=np.random.default_rng(0)).sample_restricted([], 1.0)
+d_T(h, h.scaled(0.9), 1.0, grid=8)
+"""
+
+
+def test_evolve_survives_lapack_eigh_failure(tmp_path):
+    # On single-threaded OpenBLAS, zheevd fails to converge on this
+    # degenerate 256x256 matrix when reading its lower triangle.
+    terms = [
+        {"pauli": "IIIZIZYZ", "coeff": -0.20038000720409554},
+        {"pauli": "YZXIIIZI", "coeff": -0.18395841367198112},
+    ]
+    src = os.path.dirname(os.path.dirname(hamlearn.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "u.npy"
+    proc = subprocess.run(
+        [sys.executable, "-c", _EIGH_FAILURE_SCRIPT % terms, str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = expm(-1j * kron_hamiltonian({t["pauli"]: t["coeff"] for t in terms}))
+    assert np.abs(np.load(out) - expected).max() < 1e-10
 
 
 def test_evolve_unitary_and_reversible():

@@ -147,7 +147,6 @@ def test_dense_properties(n):
 def test_dense_capacity_error():
     with pytest.raises(CapacityError):
         pl.dense(PauliString.identity(13))
-    pl.dense(PauliString.identity(13), dense_limit=13)  # explicit limit allows it
 
 
 # -- random sampling ----------------------------------------------------------
