@@ -164,6 +164,24 @@ def _sup_on_grid(f, budget: float, grid: int, refine: bool) -> tuple[float, floa
     return best_x, best_v
 
 
+def _check_budget(budget: float, grid: int) -> None:
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if grid < 2:
+        raise ValueError("grid must have at least two points")
+
+
+def _supremum(f, budget: float, grid: int, refine: bool, w1, w2, kind: str) -> DistanceResult:
+    """Maximize ``f`` over [0, budget], certified by the spectra ``w1``, ``w2``.
+
+    ``f`` is Lipschitz with constant ``||H1||_op + ||H2||_op``, the largest
+    eigenvalue magnitudes, so the grid value is within ``grid_error`` of the sup.
+    """
+    argmax, value = _sup_on_grid(f, budget, grid, refine)
+    lipschitz = float(np.abs(w1).max()) + float(np.abs(w2).max())
+    return DistanceResult(value, argmax, lipschitz * budget / grid, kind)
+
+
 def _eigensystems(h1: SparseHamiltonian, h2: SparseHamiltonian):
     if h1.n != h2.n:
         raise DimensionMismatchError("Hamiltonians act on different qubit counts")
@@ -186,10 +204,7 @@ def d_T(
     equal those of e^{i t L1} M e^{-i t L2} M^dagger with M the fixed
     eigenbasis overlap.
     """
-    if T <= 0:
-        raise ValueError("time budget must be positive")
-    if grid < 2:
-        raise ValueError("grid must have at least two points")
+    _check_budget(T, grid)
     w1, a, w2, b = _eigensystems(h1, h2)
     m = a.conj().T @ b
     m_dag = m.conj().T
@@ -198,15 +213,7 @@ def d_T(
         x = (np.exp(1j * t * w1)[:, None] * m * np.exp(-1j * t * w2)[None, :]) @ m_dag
         return _arc_half_diamond(np.angle(np.linalg.eigvals(x)))
 
-    argmax, value = _sup_on_grid(f, T, grid, refine)
-    op1 = float(np.abs(w1).max()) if w1.size else 0.0
-    op2 = float(np.abs(w2).max()) if w2.size else 0.0
-    return DistanceResult(
-        value=value,
-        argmax=argmax,
-        grid_error=(op1 + op2) * T / grid,
-        kind="time_constrained",
-    )
+    return _supremum(f, T, grid, refine, w1, w2, "time_constrained")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +226,13 @@ def _gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:
     # cannot overflow.
     w = np.exp(-beta * (evals - evals.min()))
     return w / w.sum()
+
+
+def _gibbs_trace_gap(w1, a, w2, b, beta: float) -> float:
+    """Trace norm of the difference of two Gibbs states given by eigensystems."""
+    rho1 = (a * _gibbs_weights(w1, beta)) @ a.conj().T
+    rho2 = (b * _gibbs_weights(w2, beta)) @ b.conj().T
+    return float(np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum())
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -239,10 +253,7 @@ def d_B(
     never exceeds (B/2) ||H1 - H2||_op. Commuting diagonal pairs (Z-type
     Hamiltonians) skip the per-point diagonalization.
     """
-    if B <= 0:
-        raise ValueError("inverse-temperature budget must be positive")
-    if grid < 2:
-        raise ValueError("grid must have at least two points")
+    _check_budget(B, grid)
     if h1.n != h2.n:
         raise DimensionMismatchError("Hamiltonians act on different qubit counts")
     m1 = h1.dense_matrix()
@@ -258,22 +269,11 @@ def d_B(
     else:
         w1, a = eigh(m1)
         w2, b = eigh(m2)
-        b_dag = b.conj().T
 
         def f(beta: float) -> float:
-            rho1 = (a * _gibbs_weights(w1, beta)) @ a.conj().T
-            rho2 = (b * _gibbs_weights(w2, beta)) @ b_dag
-            return 0.5 * float(np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum())
+            return 0.5 * _gibbs_trace_gap(w1, a, w2, b, beta)
 
-    argmax, value = _sup_on_grid(f, B, grid, refine)
-    op1 = float(np.abs(w1).max()) if w1.size else 0.0
-    op2 = float(np.abs(w2).max()) if w2.size else 0.0
-    return DistanceResult(
-        value=value,
-        argmax=argmax,
-        grid_error=(op1 + op2) * B / grid,
-        kind="temperature_constrained",
-    )
+    return _supremum(f, B, grid, refine, w1, w2, "temperature_constrained")
 
 
 def gibbs_trace_bound_check(
@@ -285,10 +285,7 @@ def gibbs_trace_bound_check(
     the new bound is ||H1 - H2||_op itself, the older one the exponential
     2 (e^{||H1 - H2||_op} - 1).
     """
-    w1, a, w2, b = _eigensystems(h1, h2)
-    rho1 = (a * _gibbs_weights(w1, -1.0)) @ a.conj().T
-    rho2 = (b * _gibbs_weights(w2, -1.0)) @ b.conj().T
-    lhs = float(np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum())
+    lhs = _gibbs_trace_gap(*_eigensystems(h1, h2), -1.0)
     gap = (h1 - h2).op_norm()
     return lhs, gap, 2.0 * (math.exp(gap) - 1.0)
 

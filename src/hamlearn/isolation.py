@@ -152,6 +152,8 @@ def vv_statistics(
     of x in X with all dot products x.y_j = 0. The expected count is
     ``2^-r |X|`` with variance ``2^-r (1 - 2^-r) |X|``.
     """
+    if not 1 <= m <= 63:
+        raise ValueError(f"string length m={m} outside [1, 63] (uint64 draws)")
     if set_size < 1:
         raise ValueError("set size must be >= 1")
     if set_size > 2**m - 1:

@@ -9,13 +9,15 @@ Every answered query charges a :class:`ResourceLedger` with the figures of
 merit tracked throughout: experiments, total evolution time, query count,
 minimum time resolution and ancilla qubits.
 
-Two backends are available. In ``exact`` mode restricted evolutions are
-materialized by eigendecomposition while the ledger still records the
-query count and time resolution that the second-order product formula
-would need (Trotterization preserves total evolution time, so that counter
-is charged the plain ``t``). In ``trotter`` mode the symmetric product over
-the ``2^r`` conjugated summands is actually multiplied out, guaranteeing
-the configured diamond-norm budget.
+Every query is simulated by ``EvolutionOracle._simulate``, the one place
+that picks a representation. In ``trotter`` mode a restricted evolution is
+the symmetric product over the ``2^r`` conjugated summands, actually
+multiplied out, which guarantees the configured diamond-norm budget. In
+``exact`` mode it is the closed-form Pauli expansion when the restricted
+terms commute pairwise, and the dense exponential (by eigendecomposition)
+otherwise; the ledger still records the query count and time resolution
+that the second-order product formula would need (Trotterization preserves
+total evolution time, so that counter is charged the plain ``t``).
 """
 
 from __future__ import annotations
@@ -242,22 +244,8 @@ class EvolutionOracle:
 
     def _op_norm(self) -> float:
         if self._op_norm_cache is None:
-            evals, _ = self._eigensystem()
-            self._op_norm_cache = float(np.abs(evals).max()) if evals.size else 0.0
+            self._op_norm_cache = float(np.abs(self._eigensystem()[0]).max())
         return self._op_norm_cache
-
-    def _restricted_terms(
-        self,
-        qs: Sequence[PauliString],
-        drift: tuple[PauliString, float] | None,
-    ) -> list[tuple[PauliString, float]]:
-        restricted = self.hamiltonian.restrict(qs)
-        if drift is not None:
-            p0, d = drift
-            if abs(d) > 4.0:
-                raise ValueError(f"drift coefficient {d} outside supported range")
-            restricted = restricted.add_term(p0, d)
-        return list(restricted.terms.items())
 
     def _trotter_plan(self, r: int, t: float) -> TrotterPlan:
         R = 1 << r
@@ -277,9 +265,7 @@ class EvolutionOracle:
         the 2^r-summand product formula would need.
         """
         if r == 0:
-            self.ledger.charge_evolution(
-                executions * t, queries=executions, resolution=t if t > 0 else None
-            )
+            self.ledger.charge_evolution(executions * t, queries=executions, resolution=t)
             return
         plan = self._trotter_plan(r, t)
         queries = (1 << r) * plan.l
@@ -288,22 +274,48 @@ class EvolutionOracle:
                 f"{executions} restricted evolution(s) need {executions * queries} queries"
                 f" > budget {self.config.query_budget}"
             )
-        resolution = plan.per_query_time / (1 << r)
         self.ledger.charge_evolution(
             executions * t,
             queries=executions * queries,
-            resolution=resolution if t > 0 else None,
+            resolution=plan.per_query_time / (1 << r),
         )
+
+    def _simulate(
+        self,
+        qs: list[PauliString],
+        t: float,
+        drift: tuple[PauliString, float] | None,
+        dense: bool = False,
+    ) -> np.ndarray | dict[PauliString, complex]:
+        """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
+
+        Checks the query and charges nothing. Returns the executed product
+        formula in trotter mode with ``qs``; otherwise the dict of nonzero
+        Pauli amplitudes when the restricted terms commute pairwise (unless
+        ``dense``), else the dense exponential.
+        """
+        if t < 0:
+            raise ValueError("negative evolution time")
+        pl.check_dense(self.n)
+        if drift is not None and abs(drift[1]) > 4.0:
+            raise ValueError(f"drift coefficient {drift[1]} outside supported range")
+        if self.config.mode == "trotter" and qs:
+            return self._execute_trotter(qs, t, drift)
+        h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
+        if drift is not None:
+            h = h.add_term(*drift)
+        if not dense:
+            amplitudes = self._structured_amplitudes(list(h.terms.items()), t)
+            if amplitudes is not None:
+                return amplitudes
+        eig = self._eigensystem() if h is self.hamiltonian else eigh(h.dense_matrix())
+        return _evolution(*eig, t)
 
     # -- evolution queries -------------------------------------------------
 
     def evolve(self, t: float) -> np.ndarray:
         """Return ``e^{-iHt}``; charges one query of duration ``t``."""
-        if t < 0:
-            raise ValueError("negative evolution time (model reversal as conjugation)")
-        u = _evolution(*self._eigensystem(), t)
-        self.ledger.charge_evolution(t, queries=1, resolution=t if t > 0 else None)
-        return u
+        return self.evolve_restricted([], t)
 
     def evolve_restricted(
         self,
@@ -319,23 +331,10 @@ class EvolutionOracle:
         the exact evolution. Drift pulses are known unitaries and charge
         nothing.
         """
-        if t < 0:
-            raise ValueError("negative evolution time")
-        pl.check_dense(self.n)
         qs = list(qs)
-        if self.config.mode == "trotter" and qs:
-            u = self._execute_trotter(qs, t, drift)
-        else:
-            u = self._exact_restricted_unitary(qs, t, drift)
+        u = self._simulate(qs, t, drift, dense=True)
         self._charge_restricted(len(qs), t)
         return u
-
-    def _exact_restricted_unitary(self, qs, t, drift) -> np.ndarray:
-        if not qs and drift is None:
-            return _evolution(*self._eigensystem(), t)
-        terms = self._restricted_terms(qs, drift)
-        h = SparseHamiltonian(self.n, dict(terms))
-        return _evolution(*eigh(h.dense_matrix()), t)
 
     def _execute_trotter(self, qs, t, drift) -> np.ndarray:
         """Multiply out the second-order product formula for H_{Q_1..Q_r}.
@@ -376,6 +375,30 @@ class EvolutionOracle:
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------
 
+    def _measure(
+        self, u: np.ndarray | dict[PauliString, complex], rng: np.random.Generator
+    ) -> PauliString:
+        """Bell-basis sample of a simulated evolution; charges one experiment.
+
+        ``u`` is a dense unitary or a dict of its nonzero Pauli amplitudes;
+        outcomes are drawn in index order or in the dict's order.
+        """
+        self.ledger.charge_experiment(1, ancilla=self.n)
+        lam = self.config.spam_lambda
+        if lam > 0.0 and rng.random() < lam:
+            return pl.random_uniform(self.n, rng)
+        if isinstance(u, dict):
+            outcomes = list(u)
+            probs = np.array([abs(amp) ** 2 for amp in u.values()])
+        else:
+            outcomes = None
+            probs = np.abs(pauli_transform(u)) ** 2
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError("Pauli coefficients of input violate Parseval identity")
+        idx = int(rng.choice(probs.size, p=probs / total))
+        return outcomes[idx] if outcomes else PauliString.from_index(self.n, idx)
+
     def pauli_sample(self, u: np.ndarray, rng: np.random.Generator | None = None) -> PauliString:
         """Sample P with probability ``(1-lam)|u_P|^2 + lam 4^{-n}``.
 
@@ -389,17 +412,7 @@ class EvolutionOracle:
             raise ValueError("unitary has wrong dimension for this oracle")
         if _unitarity_defect(u) > _UNITARITY_TOL:
             raise ValueError("input matrix is not unitary within tolerance")
-        rng = rng if rng is not None else self.rng
-        self.ledger.charge_experiment(1, ancilla=self.n)
-        lam = self.config.spam_lambda
-        if lam > 0.0 and rng.random() < lam:
-            return pl.random_uniform(self.n, rng)
-        probs = np.abs(pauli_transform(u)) ** 2
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError("Pauli coefficients of input violate Parseval identity")
-        idx = int(rng.choice(probs.size, p=probs / total))
-        return PauliString.from_index(self.n, idx)
+        return self._measure(u, rng if rng is not None else self.rng)
 
     def sample_restricted(
         self,
@@ -409,35 +422,16 @@ class EvolutionOracle:
     ) -> PauliString:
         """One full experiment: restricted evolution then Pauli sampling.
 
-        Ledger charges equal ``evolve_restricted`` plus ``pauli_sample``.
-        Small commuting survivor sets take a closed-form path that avoids
-        dense work; the outcome distribution is identical.
+        Ledger charges equal ``evolve_restricted`` plus ``pauli_sample``, and
+        nothing is charged for a rejected query. ``_simulate`` picks the
+        representation: the executed product formula (trotter mode), the
+        closed-form amplitudes of a commuting restriction, which avoid dense
+        work, or the dense exponential; the outcome distribution is the same.
         """
-        if t < 0:
-            raise ValueError("negative evolution time")
-        pl.check_dense(self.n)
         qs = list(qs)
+        u = self._simulate(qs, t, drift)
         self._charge_restricted(len(qs), t)
-        self.ledger.charge_experiment(1, ancilla=self.n)
-
-        lam = self.config.spam_lambda
-        if lam > 0.0 and self.rng.random() < lam:
-            return pl.random_uniform(self.n, self.rng)
-
-        if self.config.mode == "trotter" and qs:
-            probs = np.abs(pauli_transform(self._execute_trotter(qs, t, drift))) ** 2
-            idx = int(self.rng.choice(probs.size, p=probs / probs.sum()))
-            return PauliString.from_index(self.n, idx)
-
-        amplitudes = self._structured_amplitudes(self._restricted_terms(qs, drift), t)
-        if amplitudes is not None:
-            outcomes = list(amplitudes)
-            probs = np.array([abs(amplitudes[p]) ** 2 for p in outcomes])
-            idx = int(self.rng.choice(len(outcomes), p=probs / probs.sum()))
-            return outcomes[idx]
-        probs = np.abs(pauli_transform(self._exact_restricted_unitary(qs, t, drift))) ** 2
-        idx = int(self.rng.choice(probs.size, p=probs / probs.sum()))
-        return PauliString.from_index(self.n, idx)
+        return self._measure(u, self.rng)
 
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float
@@ -468,22 +462,6 @@ class EvolutionOracle:
 
     # -- single-coefficient estimation ---------------------------------------
 
-    def target_coefficient(
-        self,
-        qs: Sequence[PauliString],
-        drift: tuple[PauliString, float] | None,
-        p0: PauliString,
-        t: float,
-    ) -> complex:
-        """Exact Pauli coefficient of ``p0`` in the restricted evolution."""
-        if self.config.mode == "trotter" and qs:
-            return pauli_coefficient(self._execute_trotter(list(qs), t, drift), p0)
-        terms = self._restricted_terms(qs, drift)
-        amps = self._structured_amplitudes(terms, t)
-        if amps is not None:
-            return amps.get(p0, 0.0 + 0.0j)
-        return pauli_coefficient(self._exact_restricted_unitary(list(qs), t, drift), p0)
-
     def estimate_pauli_coeff_magnitude(
         self,
         qs: Sequence[PauliString],
@@ -502,11 +480,9 @@ class EvolutionOracle:
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        if t < 0:
-            raise ValueError("negative evolution time")
-        pl.check_dense(self.n)
         qs = list(qs)
-        amp = self.target_coefficient(qs, drift, p0, t)
+        u = self._simulate(qs, t, drift)
+        amp = u.get(p0, 0.0) if isinstance(u, dict) else pauli_coefficient(u, p0)
         self._charge_restricted(len(qs), t, executions=shots)
         self.ledger.charge_experiment(shots, ancilla=self.n)
 

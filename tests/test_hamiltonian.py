@@ -192,9 +192,12 @@ def test_norm_sandwich_inequalities():
 
 def test_random_instance_contract():
     rng = np.random.default_rng(42)
-    h = random_instance(4, 3, rng)
-    assert h.sparsity == 3
-    assert all(not p.is_identity for p in h.support)
+    for n, s in ((4, 3), (3, 63)):
+        h = random_instance(n, s, rng)
+        assert h.sparsity == s
+        assert all(not p.is_identity for p in h.support)
+    # At the upper edge s = 4^n - 1 every non-identity string is drawn.
+    assert h.support == {PauliString.from_index(3, i) for i in range(1, 64)}
 
 
 def test_random_instance_reproducible():

@@ -150,6 +150,11 @@ def test_vv_set_size_capacity(rng):
     with pytest.raises(ValueError):
         vv_statistics(set_size=16, r=1, trials=10, rng=rng, m=4)
     vv_statistics(set_size=15, r=1, trials=10, rng=rng, m=4)
+    # Strings are drawn as uint64, so m is capped at 63 with a clear message.
+    for m in (0, 64):
+        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
+            vv_statistics(set_size=4, r=1, trials=10, rng=rng, m=m)
+    assert vv_statistics(set_size=4, r=1, trials=10, rng=rng, m=63).counts.shape == (10,)
 
 
 def test_vv_counts_match_moments(rng):

@@ -402,6 +402,69 @@ def test_sample_restricted_noncommuting_falls_back_to_dense():
     assert outcome.n == 1
 
 
+def test_rejected_sample_restricted_charges_nothing():
+    h = H(2, {"XX": 0.5, "ZI": 0.3})
+    oracle = make_oracle(h)
+    qs, drift = [P("XI")], (P("XX"), 5.0)
+    with pytest.raises(ValueError, match="drift"):
+        oracle.sample_restricted(qs, 1.0, drift=drift)
+    with pytest.raises(ValueError, match="drift"):
+        oracle.evolve_restricted(qs, 1.0, drift=drift)
+    with pytest.raises(ValueError, match="drift"):
+        oracle.estimate_pauli_coeff_magnitude(qs, drift, P("XX"), 1.0, shots=10)
+    assert oracle.ledger == ResourceLedger()
+
+
+# Restrictions by XX keep the commuting pair {XX, ZZ} (closed form); XI and
+# ZI anticommute (dense exponential); trotter mode executes the product.
+_CLOSED = H(2, {"XX": 0.5, "ZZ": -0.4, "ZI": 0.3})
+_DENSE = H(2, {"XI": 0.4, "ZI": 0.3, "XX": 0.5})
+
+
+def test_seeded_draws_are_pinned():
+    # Recorded labels: a change to how queries are simulated or drawn must
+    # not move a seeded outcome.
+    cases = [
+        (_CLOSED, [P("XX")], 0.9, {}, "II II II XX YY II II II II II II II"),
+        (_DENSE, [], 0.9, {}, "IX II II XX ZI II II II II II II II"),
+        (
+            H(2, {"ZZ": 0.6, "XI": 0.5, "YZ": 0.4}),
+            [P("ZI")],
+            1.3,
+            {"mode": "trotter", "trotter_epsilon": 0.1},
+            "ZZ II II ZZ ZZ II II II II II ZZ ZZ",
+        ),
+        (
+            _CLOSED,
+            [P("XX")],
+            0.9,
+            {"spam_lambda": 0.2},
+            "II XX II ZI ZY ZX ZZ II II II II XX II YI II II",
+        ),
+    ]
+    for h, qs, t, cfg, expected in cases:
+        oracle = make_oracle(h, seed=2024, **cfg)
+        labels = [oracle.sample_restricted(qs, t).label for _ in expected.split()]
+        assert " ".join(labels) == expected
+    oracle = make_oracle(_CLOSED)
+    assert oracle._structured_amplitudes(list(_CLOSED.restrict([P("XX")]).terms.items()), 0.9)
+    assert oracle._structured_amplitudes(list(_DENSE.terms.items()), 0.9) is None
+
+
+def test_seeded_estimates_are_pinned():
+    cases = [
+        (_CLOSED, [P("XX")], P("XX"), (0.408656334834051, 0.5735852159879995)),
+        (_DENSE, [], P("XI"), (0.322490309931942, 0.47958315233127197)),
+    ]
+    for h, qs, p0, expected in cases:
+        oracle = make_oracle(h, seed=7)
+        got = (
+            oracle.estimate_pauli_coeff_magnitude(qs, None, p0, 0.9, shots=1000),
+            oracle.estimate_pauli_coeff_magnitude(qs, (p0, 0.25), p0, 0.9, shots=1000),
+        )
+        assert got == expected
+
+
 # -- coefficient estimation -----------------------------------------------------
 
 
