@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +121,6 @@ def trial_record(
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HAMLEARN_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(
     s_grid: list[int],
     eps_grid: list[float],
@@ -144,8 +134,8 @@ def sweep(
 ) -> list[TrialRecord]:
     """Run the (s, eps) product grid; rows come back in grid order.
 
-    Every cell derives its own seeds, so results are independent of the
-    worker count (HAMLEARN_WORKERS).
+    Every trial derives its own seeds from ``base_seed`` and its position
+    in the grid.
     """
     if not s_grid or not eps_grid or trials < 1:
         raise ValueError("sweep needs nonempty grids and at least one trial")
@@ -170,11 +160,7 @@ def sweep(
             shots_c1=shots_c1,
         )
 
-    workers = _worker_count()
-    if workers == 1:
-        return [run(sp) for sp in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, specs))
+    return [run(sp) for sp in specs]
 
 
 def experiments_slope(rows: list[TrialRecord]) -> float:

@@ -219,7 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    p.add_argument("--grid", type=int, default=dist_mod.DEFAULT_GRID)
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=dist_mod.DEFAULT_GRID,
+        help="resolution of the supremum search: at most GRID objective evaluations, "
+        "certified error at most K*budget/GRID for the distance's Lipschitz slope K",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_distance)
 
@@ -227,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument(
+        "--grid", type=int, default=512, help="resolution of both distance searches"
+    )
     p.add_argument("--time-budget", type=float, default=1.0)
     p.add_argument("--temp-budget", type=float, default=1.0)
     p.add_argument("--out", default=None)

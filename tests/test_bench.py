@@ -1,4 +1,4 @@
-"""Benchmark sweeps: determinism, worker independence, slope fits."""
+"""Benchmark sweeps: determinism, row order, slope fits."""
 
 import pytest
 
@@ -29,16 +29,6 @@ def test_sweep_row_order_and_count():
     rows = sweep([2, 4], [0.1], trials=2, base_seed=40, n=4, support_rounds_c0=8)
     assert [r.s for r in rows] == [2, 2, 4, 4]
     assert len(rows) == 4
-
-
-def test_sweep_worker_count_does_not_change_results(monkeypatch):
-    kwargs = dict(s_grid=[2], eps_grid=[0.1, 0.05], trials=2, base_seed=77, n=4,
-                  support_rounds_c0=8)
-    monkeypatch.setenv("HAMLEARN_WORKERS", "1")
-    serial = sweep(**kwargs)
-    monkeypatch.setenv("HAMLEARN_WORKERS", "3")
-    threaded = sweep(**kwargs)
-    assert serial == threaded
 
 
 def test_slope_functions_need_two_cells():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import kron_pauli, random_bounded_instance
+from conftest import kron_hamiltonian, kron_pauli, random_bounded_instance
 from hamlearn.distances import (
     circle_p,
     circle_q,
@@ -228,6 +228,7 @@ def test_small_norm_direct_lower_bound(rng):
 def test_distance_result_invariants(rng):
     h1 = random_bounded_instance(2, 3, rng)
     h2 = random_bounded_instance(2, 3, rng)
+    norms = h1.op_norm() + h2.op_norm()
     for res, budget in (
         (d_T(h1, h2, T=2.5, grid=128), 2.5),
         (d_B(h1, h2, B=1.5, grid=128), 1.5),
@@ -235,6 +236,8 @@ def test_distance_result_invariants(rng):
         assert 0.0 <= res.value <= 1.0
         assert 0.0 <= res.argmax <= budget
         assert res.grid_error >= 0.0
+        # Never looser than the uniform grid's certificate with slope ||H1|| + ||H2||.
+        assert res.grid_error <= norms * budget / 128
 
 
 def test_dt_validation():
@@ -261,9 +264,8 @@ def test_db_zero_at_infinite_temperature():
     h2 = H(2, {"ZZ": -0.7})
     res = d_B(h1, h2, B=2.0, grid=256)
     assert res.value > 0.0
-    # beta = 0 endpoint contributes nothing: both states maximally mixed.
-    rho = np.eye(4) / 4
-    assert np.allclose(rho, rho)  # definitional anchor for the comment above
+    # At beta = 0 both states are maximally mixed.
+    assert d_B(h1, h2, B=1e-12, grid=2).value <= 1e-9
 
 
 def test_db_monotone_and_bounded(rng):
@@ -367,6 +369,88 @@ def test_eigenphase_chain_random(rng):
         half = half_diamond_unitary(expm(-1j * h.dense_matrix()), np.eye(2**n, dtype=complex))
         assert half >= bound - 1e-9
         assert bound >= h.op_norm() / (2 * np.pi) - 1e-9
+
+
+# -- certified branch-and-bound ------------------------------------------------------
+
+
+def _arc_values(phases):
+    """sin(spread/2) of the minimal arc covering each row of phases, capped at 1."""
+    angles = np.sort(phases, axis=-1)
+    wrap = 2 * np.pi - (angles[..., -1] - angles[..., 0])
+    gaps = np.concatenate([np.diff(angles, axis=-1), wrap[..., None]], axis=-1)
+    spread = 2 * np.pi - gaps.max(axis=-1)
+    return np.where(spread >= np.pi, 1.0, np.sin(np.minimum(spread, np.pi) / 2))
+
+
+def _dense_objectives(h1, h2, ts):
+    """d_T and d_B objectives at each point of ``ts`` from kron-built matrices."""
+    mats = (kron_hamiltonian({p.label: c for p, c in h.terms.items()}) for h in (h1, h2))
+    (w1, a), (w2, b) = (np.linalg.eigh(m) for m in mats)
+    ts = np.asarray(ts)[:, None]
+
+    def unitary(w, v):
+        return (v * np.exp(-1j * ts * w)[:, None, :]) @ v.conj().T
+
+    def gibbs(w, v):
+        g = np.exp(-ts * (w - w.min()))
+        return (v * (g / g.sum(axis=1, keepdims=True))[:, None, :]) @ v.conj().T
+
+    x = unitary(w1, a).conj().transpose(0, 2, 1) @ unitary(w2, b)
+    dt = _arc_values(np.angle(np.linalg.eigvals(x)))
+    db = 0.5 * np.abs(np.linalg.eigvalsh(gibbs(w1, a) - gibbs(w2, b))).sum(axis=1)
+    return dt, db, np.ptp(w1), np.ptp(w2)
+
+
+def test_objective_slopes_within_certified_constants(rng):
+    ts = np.linspace(0.0, 4.0, 401)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        h1 = random_bounded_instance(n, 3, rng, op_cap=2.0)
+        h2 = random_bounded_instance(n, 3, rng, op_cap=2.0)
+        dt, db, spread1, spread2 = _dense_objectives(h1, h2, ts)
+        step = np.diff(ts)
+        assert np.abs(np.diff(dt) / step).max() <= (h1 - h2).op_norm() + 1e-9
+        assert np.abs(np.diff(db) / step).max() <= (spread1 + spread2) / 4 + 1e-9
+
+
+def test_certificate_covers_fine_grid_maximum(rng):
+    pairs = [
+        (H(2, {"XX": 0.5, "ZI": 0.3}), H(2, {"XX": 0.5, "ZI": 0.3})),  # identical
+        (H(2, {"ZZ": 0.8, "IZ": -0.3}), H(2, {"ZI": 0.6, "ZZ": 0.2})),  # diagonal d_B path
+        (H(1, {"Z": 0.5}), H(1, {"Z": -0.5})),  # d_T saturates at 1 before T = 4
+    ]
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        pairs.append((random_bounded_instance(n, 3, rng), random_bounded_instance(n, 3, rng)))
+    for h1, h2 in pairs:
+        for budget in (0.3, 4.0):
+            dt_fine, db_fine, _, _ = _dense_objectives(h1, h2, np.linspace(0.0, budget, 8192))
+            for refine in (False, True):
+                for res, fine in (
+                    (d_T(h1, h2, T=budget, grid=512, refine=refine), dt_fine),
+                    (d_B(h1, h2, B=budget, grid=512, refine=refine), db_fine),
+                ):
+                    assert fine.max() <= res.value + res.grid_error + 1e-9
+    saturated = d_T(H(1, {"Z": 0.5}), H(1, {"Z": -0.5}), T=4.0, grid=512)
+    assert saturated.value == 1.0
+    assert saturated.grid_error == 0.0
+
+
+def test_dt_close_pair_needs_few_evaluations(monkeypatch):
+    h1 = H(3, {"XXI": 0.5, "ZIZ": -0.3, "IYY": 0.4})
+    h2 = H(3, {"XXI": 0.5, "ZIZ": -0.29, "IYY": 0.4})
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(x):
+        calls.append(1)
+        return eigvals(x)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    res = d_T(h1, h2, T=2.0, grid=2048, refine=False)
+    assert len(calls) <= 64
+    assert res.value > 0.0
 
 
 # -- serialization -------------------------------------------------------------------
