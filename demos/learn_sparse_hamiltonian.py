@@ -9,14 +9,15 @@ depolarizing SPAM error to show the guarantees survive it.
 
 import numpy as np
 
-from hamlearn.hamiltonian import linf_distance, op_distance, random_instance
+from hamlearn.bench import trial_record
+from hamlearn.hamiltonian import random_instance
 from hamlearn.learner import LearnerParams, learn_hamiltonian
 from hamlearn.oracle import EvolutionOracle, OracleConfig
 
-EPS, DELTA = 0.05, 0.1
+EPS, DELTA, SEED = 0.05, 0.1, 20260809
 
 for spam in (0.0, 0.05):
-    seq = np.random.SeedSequence(20260809)
+    seq = np.random.SeedSequence(SEED)
     inst_rng, oracle_rng, learner_rng = (np.random.default_rng(c) for c in seq.spawn(3))
     truth = random_instance(5, 3, inst_rng, coeff_floor=0.15)
     oracle = EvolutionOracle(truth, OracleConfig(spam_lambda=spam), rng=oracle_rng)
@@ -28,9 +29,11 @@ for spam in (0.0, 0.05):
     print(f"{'term':>8} {'true':>9} {'learned':>9}")
     for p in sorted(truth.support | learned.support, key=lambda q: q.sort_key()):
         print(f"{p.label:>8} {truth.coeff(p):>9.4f} {learned.coeff(p):>9.4f}")
-    print(f"linf error: {linf_distance(truth, learned):.5f}  (target {EPS})")
-    print(f"operator-norm error: {op_distance(truth, learned):.5f}")
-    print(f"stage diagnostics: {result.success_flags}")
+    # The truth comparison lives outside the learner, in bench.trial_record.
+    rec = trial_record(truth, result, s=3, eps=EPS, seed=SEED)
+    print(f"linf error: {rec.linf_error:.5f}  (target {EPS})")
+    print(f"l1 error: {rec.l1_error:.5f}  operator-norm error: {rec.op_error:.5f}")
+    print(f"success (linf <= eps, support within the truth's): {rec.success}")
 
     led = result.ledger
     print("resources charged:")

@@ -58,6 +58,11 @@ class TrialRecord:
         return ",".join(out)
 
 
+# Shot multiplier c1 of every benchmark trial; LearnerParams defaults to 32,
+# calibrated for SPAM robustness.
+SHOTS_C1 = 1.0
+
+
 def detectability_floor(eps: float) -> float:
     """Instance coefficient floor keeping every term above the target eps."""
     return min(0.9, max(0.1, 2.0 * eps))
@@ -70,25 +75,19 @@ def run_learning_trial(
     delta: float,
     seed: int,
     spam_lambda: float = 0.0,
-    mode: str = "exact",
-    s_bound: int | None = None,
     support_rounds_c0: float = 64.0,
-    shots_c1: float = 1.0,
-    hamiltonian: SparseHamiltonian | None = None,
 ) -> TrialRecord:
     """One seeded end-to-end learning run against a random instance."""
     seq = np.random.SeedSequence(seed)
     inst_rng, oracle_rng, learner_rng = (np.random.default_rng(c) for c in seq.spawn(3))
-    if hamiltonian is None:
-        hamiltonian = random_instance(n, s, inst_rng, coeff_floor=detectability_floor(eps))
-    config = OracleConfig(mode=mode, spam_lambda=spam_lambda)
-    oracle = EvolutionOracle(hamiltonian, config, rng=oracle_rng)
+    hamiltonian = random_instance(n, s, inst_rng, coeff_floor=detectability_floor(eps))
+    oracle = EvolutionOracle(hamiltonian, OracleConfig(spam_lambda=spam_lambda), rng=oracle_rng)
     params = LearnerParams(
-        s_bound=s_bound if s_bound is not None else s,
+        s_bound=s,
         eps=eps,
         delta=delta,
         support_rounds_c0=support_rounds_c0,
-        shots_c1=shots_c1,
+        shots_c1=SHOTS_C1,
     )
     result = learn_hamiltonian(oracle, params, learner_rng)
     return trial_record(hamiltonian, result, s=s, eps=eps, seed=seed)
@@ -130,7 +129,6 @@ def sweep(
     delta: float = 0.1,
     spam_lambda: float = 0.0,
     support_rounds_c0: float = 64.0,
-    shots_c1: float = 1.0,
 ) -> list[TrialRecord]:
     """Run the (s, eps) product grid; rows come back in grid order.
 
@@ -139,28 +137,19 @@ def sweep(
     """
     if not s_grid or not eps_grid or trials < 1:
         raise ValueError("sweep needs nonempty grids and at least one trial")
-    specs = []
-    counter = 0
-    for s in s_grid:
-        for eps in eps_grid:
-            for _ in range(trials):
-                specs.append((s, eps, base_seed + counter))
-                counter += 1
-
-    def run(spec):
-        s, eps, seed = spec
-        return run_learning_trial(
+    cells = [(s, eps) for s in s_grid for eps in eps_grid for _ in range(trials)]
+    return [
+        run_learning_trial(
             n=n,
             s=s,
             eps=eps,
             delta=delta,
-            seed=seed,
+            seed=base_seed + i,
             spam_lambda=spam_lambda,
             support_rounds_c0=support_rounds_c0,
-            shots_c1=shots_c1,
         )
-
-    return [run(sp) for sp in specs]
+        for i, (s, eps) in enumerate(cells)
+    ]
 
 
 def experiments_slope(rows: list[TrialRecord]) -> float:
@@ -171,6 +160,8 @@ def experiments_slope(rows: list[TrialRecord]) -> float:
     ss = sorted(by_s)
     if len(ss) < 2:
         raise ValueError("need at least two sparsity values")
+    if ss[0] < 2:
+        raise ValueError(f"s ln s vanishes at s = {ss[0]}; every s must be at least 2")
     xs = [s * math.log(s) for s in ss]
     ys = [float(np.mean(by_s[s])) for s in ss]
     return loglog_slope(xs, ys)

@@ -162,6 +162,13 @@ def _cmd_bench(args) -> int:
         _usage_error("sweep grids must be comma-separated numbers")
     if not s_grid or not eps_grid:
         _usage_error("empty sweep grid")
+    # A slope is fitted over any grid with two or more values; check it
+    # before the sweep runs.
+    for flag, grid in (("--s-grid", s_grid), ("--eps-grid", eps_grid)):
+        if len(grid) >= 2 and len(set(grid)) < len(grid):
+            _usage_error(f"{flag} values must be distinct to fit a slope")
+    if len(s_grid) >= 2 and min(s_grid) < 2:
+        _usage_error(f"a slope over --s-grid needs every s >= 2, got s = {min(s_grid)}")
     rows = bench_mod.sweep(
         s_grid,
         eps_grid,

@@ -138,15 +138,15 @@ def half_diamond_unitary(v: np.ndarray, w: np.ndarray) -> float:
     return _arc_half_diamond(phases)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 50) -> tuple[float, float]:
-    """Golden-section refinement of a maximum on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section refinement of a maximum on [lo, hi], 52 evaluations."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
+    for _ in range(50):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

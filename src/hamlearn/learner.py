@@ -43,8 +43,10 @@ class LearnerParams:
 
     ``support_rounds_c0`` multiplies the support-learning iteration count
     T = ceil(c0 s ln(s/delta)); ``shots_c1`` multiplies the per-estimate
-    shot count derived from the Hoeffding margin 1/(6400 C); ``taylor_c``
-    is the first-order Taylor remainder constant (>= 1).
+    shot count derived from the Hoeffding margin 1/(6400 C). The
+    first-order Taylor remainder constant is fixed at C = 1, so the stage
+    time 1/(800 C eps) and the margin 1/(6400 C) are 1/(800 eps) and
+    1/6400.
 
     The shots_c1 default is calibrated for SPAM robustness: with a
     depolarizing floor, square-rooting the bias-corrected frequency
@@ -55,7 +57,6 @@ class LearnerParams:
     s_bound: int
     eps: float
     delta: float
-    taylor_c: float = 1.0
     support_rounds_c0: float = 64.0
     shots_c1: float = DEFAULT_SHOTS_C1
 
@@ -66,23 +67,20 @@ class LearnerParams:
             raise ValueError("eps must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.taylor_c < 1.0:
-            raise ValueError("taylor_c must be >= 1")
         if self.support_rounds_c0 < 1.0 or self.shots_c1 < 1.0:
             raise ValueError("constant multipliers must be >= 1")
 
 
 @dataclass
 class LearnResult:
-    """Learned Hamiltonian, the resources it cost, per-stage diagnostics.
+    """Learned Hamiltonian and the resources it cost.
 
-    ``success_flags`` are ground-truth checks the simulator performs for
-    reporting; the learning path never reads them.
+    Comparing it with the truth is the caller's business
+    (:func:`hamlearn.bench.trial_record`).
     """
 
     hamiltonian: SparseHamiltonian
     ledger: ResourceLedger
-    success_flags: dict[str, bool]
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +88,19 @@ class LearnResult:
 # ---------------------------------------------------------------------------
 
 
-def stage_evolution_time(eps: float, taylor_c: float) -> float:
-    """Fixed evolution time t = 1/(800 C eps) of one estimation stage."""
-    return 1.0 / (800.0 * taylor_c * eps)
+def stage_evolution_time(eps: float) -> float:
+    """Fixed evolution time t = 1/(800 C eps) of one estimation stage, C = 1."""
+    return 1.0 / (800.0 * eps)
 
 
-def magnitude_shots(delta: float, taylor_c: float, shots_c1: float = DEFAULT_SHOTS_C1) -> int:
-    """Shots so the magnitude estimate meets the 1/(6400 C) margin.
+def magnitude_shots(delta: float, shots_c1: float) -> int:
+    """Shots so the magnitude estimate meets the 1/(6400 C) margin, C = 1.
 
     Inverting the Hoeffding-style tail exp(-2 m tau^2) at tau = 1/(6400 C)
     with failure budget delta/2 per estimate gives
     m = ceil(c1 (6400 C)^2 ln(4/delta) / 2).
     """
-    margin = 1.0 / (6400.0 * taylor_c)
+    margin = 1.0 / 6400.0
     return math.ceil(shots_c1 * math.log(4.0 / delta) / (2.0 * margin**2))
 
 
@@ -161,22 +159,21 @@ def learn_small_coeff(
     p0: PauliString,
     eps: float,
     delta: float,
-    taylor_c: float = 1.0,
     shots_c1: float = DEFAULT_SHOTS_C1,
     base_drift: float = 0.0,
 ) -> float:
     """Estimate an isolated coefficient under the promise |h| <= 10 eps.
 
     Stage one reads the magnitude off the target's Pauli-sampling
-    frequency at time t = 1/(800 C eps); stage two repeats with a known
-    pulse of the estimated magnitude added and keeps the positive branch
-    iff the drifted magnitude stays >= eps/2. Returns a value within eps
+    frequency at time t = 1/(800 C eps) with C = 1; stage two repeats with
+    a known pulse of the estimated magnitude added and keeps the positive
+    branch iff the drifted magnitude stays >= eps/2. Returns a value within eps
     of the true coefficient with probability >= 1 - delta, provided the
     restriction really is the single term ``h p0`` (plus ``base_drift``).
     """
     qs = list(qs)
-    t = stage_evolution_time(eps, taylor_c)
-    shots = magnitude_shots(delta, taylor_c, shots_c1)
+    t = stage_evolution_time(eps)
+    shots = magnitude_shots(delta, shots_c1)
 
     drift = None if base_drift == 0.0 else (p0, base_drift)
     raw = oracle.estimate_pauli_coeff_magnitude(qs, drift, p0, t, shots)
@@ -193,7 +190,6 @@ def learn_coeff(
     p0: PauliString,
     eps: float,
     delta: float,
-    taylor_c: float = 1.0,
     shots_c1: float = DEFAULT_SHOTS_C1,
 ) -> float:
     """Full-range isolated coefficient (promise |h| <= 1) via refinement.
@@ -211,7 +207,6 @@ def learn_coeff(
             p0,
             eps=10.0**-level,
             delta=delta / stages,
-            taylor_c=taylor_c,
             shots_c1=shots_c1,
             base_drift=-total,
         )
@@ -240,7 +235,6 @@ def learn_single_coeff_sparse(
         p0,
         eps=params.eps,
         delta=params.delta / 2.0,
-        taylor_c=params.taylor_c,
         shots_c1=params.shots_c1,
     )
 
@@ -262,9 +256,6 @@ def learn_hamiltonian(
     with magnitude <= eps/2 round to zero, which confines the output
     support to the true one on successful runs.
     """
-    n = oracle.n
-    truth = oracle.hamiltonian
-
     candidates = learn_support(oracle, replace(params, delta=params.delta / 2.0), rng)
     ordered = sorted(candidates, key=lambda p: p.sort_key())
 
@@ -276,16 +267,7 @@ def learn_hamiltonian(
     if len(rounded) > params.s_bound:
         keep = sorted(rounded.items(), key=lambda kv: (-abs(kv[1]), kv[0].sort_key()))
         rounded = dict(keep[: params.s_bound])
-    learned = SparseHamiltonian(n, rounded)
-
-    flags = {
-        "support_covered": truth.effective_support(params.eps) <= candidates,
-        "support_contained": learned.support <= truth.support,
-        "estimates_within_half_eps": all(
-            abs(estimates[p] - truth.coeff(p)) <= params.eps / 2.0 for p in ordered
-        ),
-    }
-    return LearnResult(hamiltonian=learned, ledger=oracle.ledger, success_flags=flags)
+    return LearnResult(hamiltonian=SparseHamiltonian(oracle.n, rounded), ledger=oracle.ledger)
 
 
 def learn_hamiltonian_opnorm(

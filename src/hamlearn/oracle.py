@@ -54,11 +54,9 @@ class ResourceLedger:
     min_time_resolution: float = math.inf
     ancilla_qubits: int = 0
 
-    def charge_evolution(self, t: float, queries: int = 1, resolution: float | None = None):
+    def charge_evolution(self, t: float, queries: int, resolution: float):
         self.total_evolution_time += t
         self.queries += queries
-        if resolution is None:
-            resolution = t
         if resolution > 0:
             self.min_time_resolution = min(self.min_time_resolution, resolution)
 
@@ -97,16 +95,17 @@ class OracleConfig:
     state-preparation and measurement error of the same diamond-norm size.
     ``trotter_epsilon`` is the diamond-norm budget granted to product
     formulas; ``kappa`` the explicit constant in their step count.
-    ``seed`` seeds the oracle's RNG when none is passed, and
     ``query_budget``, if set, caps the queries of one restricted-evolution
     charge. Dense simulation is capped at ``pauli.DENSE_LIMIT`` qubits.
+    The RNG is passed to :class:`EvolutionOracle`, not configured here.
+    The learner's Taylor remainder constant is fixed at C = 1, so a stage
+    of accuracy eps evolves for t = 1/(800 eps).
     """
 
     mode: str = "exact"
     spam_lambda: float = 0.0
     trotter_epsilon: float = 0.01
     kappa: float = 1.0
-    seed: int | None = None
     query_budget: int | None = None
 
     def __post_init__(self):
@@ -213,8 +212,9 @@ def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
 class EvolutionOracle:
     """Simulated access to the time evolution of a hidden Hamiltonian.
 
-    The oracle owns a ledger and an RNG; independent trials should use
-    independent oracle instances with seeds derived from a master seed.
+    The oracle owns a fresh ledger and an RNG (unseeded when ``rng`` is
+    None); independent trials should use independent oracle instances with
+    seeds derived from a master seed.
     """
 
     def __init__(
@@ -222,12 +222,11 @@ class EvolutionOracle:
         hamiltonian: SparseHamiltonian,
         config: OracleConfig | None = None,
         rng: np.random.Generator | None = None,
-        ledger: ResourceLedger | None = None,
     ):
         self.hamiltonian = hamiltonian
         self.config = config or OracleConfig()
-        self.ledger = ledger if ledger is not None else ResourceLedger()
-        self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
+        self.ledger = ResourceLedger()
+        self.rng = np.random.default_rng(rng)
         self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._op_norm_cache: float | None = None
 
@@ -375,9 +374,7 @@ class EvolutionOracle:
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------
 
-    def _measure(
-        self, u: np.ndarray | dict[PauliString, complex], rng: np.random.Generator
-    ) -> PauliString:
+    def _measure(self, u: np.ndarray | dict[PauliString, complex]) -> PauliString:
         """Bell-basis sample of a simulated evolution; charges one experiment.
 
         ``u`` is a dense unitary or a dict of its nonzero Pauli amplitudes;
@@ -385,8 +382,8 @@ class EvolutionOracle:
         """
         self.ledger.charge_experiment(1, ancilla=self.n)
         lam = self.config.spam_lambda
-        if lam > 0.0 and rng.random() < lam:
-            return pl.random_uniform(self.n, rng)
+        if lam > 0.0 and self.rng.random() < lam:
+            return pl.random_uniform(self.n, self.rng)
         if isinstance(u, dict):
             outcomes = list(u)
             probs = np.array([abs(amp) ** 2 for amp in u.values()])
@@ -396,10 +393,10 @@ class EvolutionOracle:
         total = probs.sum()
         if abs(total - 1.0) > 1e-8:
             raise ValueError("Pauli coefficients of input violate Parseval identity")
-        idx = int(rng.choice(probs.size, p=probs / total))
+        idx = int(self.rng.choice(probs.size, p=probs / total))
         return outcomes[idx] if outcomes else PauliString.from_index(self.n, idx)
 
-    def pauli_sample(self, u: np.ndarray, rng: np.random.Generator | None = None) -> PauliString:
+    def pauli_sample(self, u: np.ndarray) -> PauliString:
         """Sample P with probability ``(1-lam)|u_P|^2 + lam 4^{-n}``.
 
         This simulates preparing the Choi state of ``u`` with ``n`` ancilla
@@ -412,7 +409,7 @@ class EvolutionOracle:
             raise ValueError("unitary has wrong dimension for this oracle")
         if _unitarity_defect(u) > _UNITARITY_TOL:
             raise ValueError("input matrix is not unitary within tolerance")
-        return self._measure(u, rng if rng is not None else self.rng)
+        return self._measure(u)
 
     def sample_restricted(
         self,
@@ -431,7 +428,7 @@ class EvolutionOracle:
         qs = list(qs)
         u = self._simulate(qs, t, drift)
         self._charge_restricted(len(qs), t)
-        return self._measure(u, self.rng)
+        return self._measure(u)
 
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float
@@ -506,20 +503,18 @@ def calibrate_trotter_kappa(
     t: float = 1.0,
     trials: int = 3,
     seed: int = 0,
-    start: float = 1.0,
-    max_doublings: int = 10,
 ) -> float:
-    """Double ``kappa`` until executed products meet the diamond budget.
+    """Double ``kappa`` from 1 until executed products meet the diamond budget.
 
     Random small instances are evolved both exactly and with the product
     formula; the diamond distance between the two unitary channels is
     evaluated in closed form. Returns the first ``kappa`` whose executions
-    all fit within ``epsilon``.
+    all fit within ``epsilon``, trying kappa = 1, 2, 4, ..., 512.
     """
     from .hamiltonian import random_instance
 
-    kappa = start
-    for _ in range(max_doublings):
+    kappa = 1.0
+    for _ in range(10):
         rng = np.random.default_rng(seed)
         ok = True
         for _ in range(trials):

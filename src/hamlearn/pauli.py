@@ -30,10 +30,6 @@ DENSE_LIMIT = 12
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
-# Single-qubit digit order used for dense-coefficient indexing.
-_DIGIT_TO_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I, X, Y, Z
-_BITS_TO_DIGIT = {v: k for k, v in _DIGIT_TO_BITS.items()}
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -81,25 +77,14 @@ class PauliString:
         return PauliString(len(label), x, z)
 
     @staticmethod
-    def from_digits(digits: "list[int] | np.ndarray") -> "PauliString":
-        """Build from per-qubit digits in the order (0=I, 1=X, 2=Y, 3=Z)."""
-        x = z = 0
-        for d in digits:
-            xb, zb = _DIGIT_TO_BITS[int(d)]
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-        return PauliString(len(digits), x, z)
-
-    @staticmethod
     def from_index(n: int, index: int) -> "PauliString":
-        """Inverse of :attr:`index`: base-4 digits, qubit 0 most significant."""
+        """Inverse of :attr:`index`."""
         if not 0 <= index < 4**n:
             raise ValueError("Pauli index out of range")
-        digits = []
-        for _ in range(n):
-            digits.append(index & 3)
-            index >>= 2
-        return PauliString.from_digits(digits[::-1])
+        # Odd bits of the index hold z, even bits x ^ z (most significant first).
+        bits = f"{index:0{2 * n}b}"
+        z = int(bits[0::2], 2)
+        return PauliString(n, int(bits[1::2], 2) ^ z, z)
 
     # -- views ---------------------------------------------------------
 
@@ -111,19 +96,14 @@ class PauliString:
         return "".join(letters)
 
     @property
-    def digits(self) -> list[int]:
-        return [
-            _BITS_TO_DIGIT[(self.x_bits >> i) & 1, (self.z_bits >> i) & 1]
-            for i in range(self.n - 1, -1, -1)
-        ]
-
-    @property
     def index(self) -> int:
-        """Position of this string in the flat 4^n coefficient order."""
-        idx = 0
-        for d in self.digits:
-            idx = (idx << 2) | d
-        return idx
+        """Position of this string in the flat 4^n coefficient order.
+
+        Qubit 0 is the most significant base-4 digit d = 2z + (x ^ z), so
+        the single-qubit order is (I, X, Y, Z).
+        """
+        # A mask's binary digits, read in base 4, land on the even bits.
+        return 2 * int(f"{self.z_bits:b}", 4) + int(f"{self.x_bits ^ self.z_bits:b}", 4)
 
     @property
     def is_identity(self) -> bool:

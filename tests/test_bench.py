@@ -1,5 +1,7 @@
 """Benchmark sweeps: determinism, row order, slope fits."""
 
+import dataclasses
+
 import pytest
 
 from hamlearn.bench import (
@@ -37,6 +39,9 @@ def test_slope_functions_need_two_cells():
         experiments_slope(rows)
     with pytest.raises(ValueError):
         evolution_time_slope(rows)
+    # s ln s vanishes at s = 1, so no log-log slope exists there.
+    with pytest.raises(ValueError, match="s = 1"):
+        experiments_slope(rows + [dataclasses.replace(rows[0], s=1)])
 
 
 def test_time_slope_tracks_inverse_eps():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hamlearn import cli
 from hamlearn.hamiltonian import SparseHamiltonian
 
 
@@ -153,9 +154,92 @@ def test_bench_default_sweep_slopes_in_range():
         assert 0.7 <= value <= 1.3
 
 
-def test_bench_usage_error():
-    proc = run_cli("bench", "--s-grid", "", "--eps-grid", "0.1")
-    assert proc.returncode == 2
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_bench_usage_error(monkeypatch, capsys):
+    # Bad grids are rejected before any trial runs.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran on an invalid grid")
+
+    monkeypatch.setattr(cli.bench_mod, "sweep", no_sweep)
+    for s_grid, eps_grid, message in (
+        ("", "0.1", "empty"),
+        ("1,2", "0.1", "s = 1"),
+        ("2,2", "0.1", "distinct"),
+        ("2,4", "0.2,0.2", "distinct"),
+    ):
+        assert exit_code(["bench", "--s-grid", s_grid, "--eps-grid", eps_grid]) == 2
+        assert message in capsys.readouterr().err
+
+
+# Seeded CLI output and ledger, recorded once. A change to them is a change
+# to the simulated protocol or its accounting, and must be made on purpose.
+PINNED_LEARN_HEADER = (
+    "seed,success,linf_error,op_error,experiments,total_time,queries,min_resolution\n"
+)
+PINNED_LEDGER = """{
+  "experiments": 87616543494,
+  "total_time": 6023640762.059154,
+  "queries": 179438682006352,
+  "min_resolution": 3.0517578125e-06,
+  "ancilla": 4
+}
+"""
+PINNED = [
+    (
+        ["learn", "--random", "4,3,7", "--eps", "0.1", "--delta", "0.2", "--seed", "1"],
+        PINNED_LEARN_HEADER
+        + "1,1,0.000246346758089,0.000362878637522,87616543494,6023640762.06,"
+        "179438682006352,3.0517578125e-06\n",
+        PINNED_LEDGER,
+    ),
+    (
+        ["learn", "--random", "3,3,5", "--spam", "0.05", "--seed", "2"],
+        PINNED_LEARN_HEADER
+        + "2,1,0.00437833852634,0.00699679926505,485149146919,33354011798.8,"
+        "11923025425708768,3.81469726563e-07\n",
+        None,
+    ),
+    (
+        ["learn", "--random", "3,2,9", "--eps", "0.2", "--mode", "trotter", "--seed", "3"],
+        PINNED_LEARN_HEADER
+        + "3,1,0.000909688499157,0.00106144572505,15121307865,189017752.904,"
+        "15484219069232,6.103515625e-06\n",
+        None,
+    ),
+    (
+        ["bench", "--s-grid", "2,4", "--eps-grid", "0.1", "--trials", "2",
+         "--n", "5", "--seed", "11", "--c0", "8"],
+        "s,eps,seed,success,linf_error,l1_error,op_error,experiments,total_time,queries,"
+        "min_resolution,ancilla\n"
+        "2,0.1,11,1,0.000393747029509,0.000472060021761,0.000401459397701,1058647012,"
+        "72782308.1676,1084054570448,6.103515625e-06,5\n"
+        "2,0.1,12,1,0.00416563376339,0.0067086538905,0.0067086538905,1058647012,"
+        "72782309.7013,1084054510880,6.103515625e-06,5\n"
+        "4,0.1,13,1,0.00320530838631,0.00903412889743,0.00685285547805,3021930201,"
+        "207758414.251,18566738990544,1.52587890625e-06,5\n"
+        "4,0.1,14,1,0.000469859434893,0.000854133327202,0.000744114197926,2344424509,"
+        "161179910.857,14404144374848,1.52587890625e-06,5\n"
+        "# slope_experiments_vs_s_ln_s,0.67086\n",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, ledger", PINNED, ids=["learn", "learn-spam", "learn-trotter", "bench"]
+)
+def test_seeded_output_is_pinned(tmp_path, capsys, argv, stdout, ledger):
+    path = tmp_path / "ledger.json"
+    assert cli.main(argv + (["--ledger-out", str(path)] if ledger else [])) == 0
+    assert capsys.readouterr().out == stdout
+    if ledger:
+        assert path.read_text() == ledger
 
 
 @pytest.mark.parametrize("cmd", [[], ["frobnicate"]])

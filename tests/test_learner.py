@@ -1,5 +1,6 @@
 """Learning algorithms: stage arithmetic, Monte-Carlo guarantees, ledgers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -46,15 +47,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LearnerParams(s_bound=1, eps=0.1, delta=1.5)
     with pytest.raises(ValueError):
-        LearnerParams(s_bound=1, eps=0.1, delta=0.1, taylor_c=0.5)
+        LearnerParams(s_bound=1, eps=0.1, delta=0.1, shots_c1=0.5)
 
 
 def test_stage_arithmetic():
-    assert stage_evolution_time(0.01, 1.0) == pytest.approx(1.0 / 8.0)
+    assert stage_evolution_time(0.01) == pytest.approx(1.0 / 8.0)
     assert refinement_stages(0.1) == 1
     assert refinement_stages(0.05) == 2
     assert refinement_stages(0.001) == 3
-    assert magnitude_shots(0.1, 1.0, 1.0) == math.ceil(6400**2 * math.log(40) / 2)
+    assert magnitude_shots(0.1, 1.0) == math.ceil(6400**2 * math.log(40) / 2)
     params = LearnerParams(s_bound=4, eps=0.05, delta=0.1)
     assert support_rounds(params) == math.ceil(64 * 4 * math.log(40))
 
@@ -112,7 +113,7 @@ def test_learn_coeff_single_stage_for_coarse_eps():
     est = learn_coeff(oracle, [], P("XX"), eps=0.1, delta=0.1)
     assert abs(est - 0.37) <= 0.1
     # One stage, two estimates: experiments = 2 * shots(delta).
-    assert oracle.ledger.experiments == 2 * magnitude_shots(0.1, 1.0, 32.0)
+    assert oracle.ledger.experiments == 2 * magnitude_shots(0.1, 32.0)
 
 
 def test_learn_coeff_stage_residual_contract():
@@ -147,8 +148,8 @@ def test_learn_coeff_stage_times_follow_geometric_sum():
     eps, delta = 0.001, 0.1
     learn_coeff(oracle, [], P("XX"), eps=eps, delta=delta)
     stages = refinement_stages(eps)
-    shots = magnitude_shots(delta / stages, 1.0, 32.0)
-    last_stage_time = 2 * shots * stage_evolution_time(10.0**-stages, 1.0)
+    shots = magnitude_shots(delta / stages, 32.0)
+    last_stage_time = 2 * shots * stage_evolution_time(10.0**-stages)
     total = oracle.ledger.total_evolution_time
     # Geometric series: total within 2x of (10/9) of the final stage's time.
     assert last_stage_time <= total <= 2 * (10.0 / 9.0) * last_stage_time
@@ -199,7 +200,7 @@ def test_single_coeff_sparse_experiment_count_formula():
     p0 = sorted(h.support, key=lambda p: p.sort_key())[0]
     learn_single_coeff_sparse(oracle, p0, params, r3)
     stages = refinement_stages(eps)
-    expected = stages * 2 * magnitude_shots((delta / 2) / stages, 1.0, 32.0)
+    expected = stages * 2 * magnitude_shots((delta / 2) / stages, 32.0)
     assert oracle.ledger.experiments == expected
 
 
@@ -287,11 +288,8 @@ def test_learn_result_contract():
     result = learn_hamiltonian(oracle, params, r3)
     assert result.hamiltonian.sparsity <= params.s_bound
     assert not any(p.is_identity for p in result.hamiltonian.support)
-    assert set(result.success_flags) == {
-        "support_covered",
-        "support_contained",
-        "estimates_within_half_eps",
-    }
+    # The result carries no comparison with the truth.
+    assert {f.name for f in dataclasses.fields(result)} == {"hamiltonian", "ledger"}
     assert result.ledger is oracle.ledger
 
 

@@ -31,6 +31,13 @@ def test_identity_has_zero_bits():
 def test_index_roundtrip():
     for idx in range(4**3):
         assert PauliString.from_index(3, idx).index == idx
+    # The roundtrip alone does not pin the order; compare with labels built
+    # from base-4 digits, qubit 0 most significant, digits (I, X, Y, Z).
+    for n in (1, 2, 3):
+        for idx in range(4**n):
+            label = "".join("IXYZ"[(idx >> (2 * (n - 1 - k))) & 3] for k in range(n))
+            assert PauliString.from_index(n, idx).label == label
+            assert P(label).index == idx
 
 
 def test_invalid_labels_rejected():
