@@ -13,7 +13,7 @@ import numpy as np
 from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
 from hamlearn.hamiltonian import random_instance
-from hamlearn.oracle import EvolutionOracle, OracleConfig, calibrate_trotter_kappa, plan_trotter
+from hamlearn.oracle import EvolutionOracle, OracleConfig, trotter_steps
 
 rng = np.random.default_rng(11)
 h = random_instance(3, 4, rng)
@@ -32,15 +32,9 @@ print(f"{'budget':>8} {'steps l':>8} {'measured':>10}")
 for epsilon in (0.5, 0.1, 0.02, 0.005):
     oracle = EvolutionOracle(h, OracleConfig(mode="trotter", trotter_epsilon=epsilon))
     u = oracle.evolve_restricted(qs, t)
-    plan = plan_trotter(R=4, c=h.op_norm() / 4, t=t, epsilon=epsilon)
+    steps = trotter_steps(4, h.op_norm() / 4, t, epsilon)
     measured = 2.0 * half_diamond_unitary(exact, u)
-    print(f"{epsilon:>8} {plan.l:>8} {measured:>10.2e}")
-
-print()
-print("=== step-count constant calibration ===")
-for epsilon in (0.1, 0.01):
-    kappa = calibrate_trotter_kappa(epsilon=epsilon, n=3, r=2, t=1.0, trials=3, seed=1)
-    print(f"budget {epsilon}: kappa = {kappa}")
+    print(f"{epsilon:>8} {steps:>8} {measured:>10.2e}")
 
 print()
 print("=== what one restricted query charges ===")

@@ -28,7 +28,7 @@ from .learner import (
     learn_small_coeff,
     learn_support,
 )
-from .oracle import EvolutionOracle, OracleConfig, ResourceLedger, TrotterPlan
+from .oracle import EvolutionOracle, OracleConfig, ResourceLedger
 from .pauli import PauliString
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "ResourceLedger",
     "SparseHamiltonian",
     "SpectralData",
-    "TrotterPlan",
     "counterexample_family",
     "d_B",
     "d_T",

@@ -68,6 +68,13 @@ def detectability_floor(eps: float) -> float:
     return min(0.9, max(0.1, 2.0 * eps))
 
 
+def _trial_params(s: int, eps: float, delta: float, support_rounds_c0: float) -> LearnerParams:
+    """Learner targets and constants of one benchmark trial."""
+    return LearnerParams(
+        s_bound=s, eps=eps, delta=delta, support_rounds_c0=support_rounds_c0, shots_c1=SHOTS_C1
+    )
+
+
 def run_learning_trial(
     n: int,
     s: int,
@@ -82,13 +89,7 @@ def run_learning_trial(
     inst_rng, oracle_rng, learner_rng = (np.random.default_rng(c) for c in seq.spawn(3))
     hamiltonian = random_instance(n, s, inst_rng, coeff_floor=detectability_floor(eps))
     oracle = EvolutionOracle(hamiltonian, OracleConfig(spam_lambda=spam_lambda), rng=oracle_rng)
-    params = LearnerParams(
-        s_bound=s,
-        eps=eps,
-        delta=delta,
-        support_rounds_c0=support_rounds_c0,
-        shots_c1=SHOTS_C1,
-    )
+    params = _trial_params(s, eps, delta, support_rounds_c0)
     result = learn_hamiltonian(oracle, params, learner_rng)
     return trial_record(hamiltonian, result, s=s, eps=eps, seed=seed)
 
@@ -133,10 +134,15 @@ def sweep(
     """Run the (s, eps) product grid; rows come back in grid order.
 
     Every trial derives its own seeds from ``base_seed`` and its position
-    in the grid.
+    in the grid. Every cell is validated before the first trial runs.
     """
     if not s_grid or not eps_grid or trials < 1:
         raise ValueError("sweep needs nonempty grids and at least one trial")
+    for s in s_grid:
+        if not 1 <= s <= 4**n - 1:
+            raise ValueError(f"sparsity must be in [1, 4^n - 1], got {s}")
+        for eps in eps_grid:
+            _trial_params(s, eps, delta, support_rounds_c0)
     cells = [(s, eps) for s in s_grid for eps in eps_grid for _ in range(trials)]
     return [
         run_learning_trial(

@@ -34,7 +34,7 @@ from hamlearn.isolation import (
     vv_statistics,
 )
 from hamlearn.learner import LearnerParams, learn_hamiltonian, learn_single_coeff_sparse
-from hamlearn.oracle import EvolutionOracle, OracleConfig, calibrate_trotter_kappa
+from hamlearn.oracle import EvolutionOracle, OracleConfig
 from hamlearn.pauli import PauliString
 
 P = PauliString.from_label
@@ -165,19 +165,19 @@ def test_criterion_05_isolation_probability_floor():
 
 
 def test_criterion_06_trotter_budget_met_after_calibration():
-    """Executed product formulas meet their diamond budgets at n=3, r<=3, t=1."""
+    """Executed product formulas meet their diamond budgets at n=3, r<=3, t=1.
+
+    The step count uses the fixed constant 1 of ``oracle.trotter_steps``.
+    """
     watch = Stopwatch(60.0)
     for epsilon in (0.1, 0.01):
-        kappa = calibrate_trotter_kappa(epsilon=epsilon, n=3, r=2, t=1.0, trials=3, seed=6)
         rng = np.random.default_rng(60)
         for r in (1, 2, 3):
             for _ in range(3):
                 h = random_instance(3, 4, rng)
                 qs = [pl.random_uniform(3, rng) for _ in range(r)]
                 exact = EvolutionOracle(h, OracleConfig(mode="exact"))
-                trot = EvolutionOracle(
-                    h, OracleConfig(mode="trotter", trotter_epsilon=epsilon, kappa=kappa)
-                )
+                trot = EvolutionOracle(h, OracleConfig(mode="trotter", trotter_epsilon=epsilon))
                 diamond = 2.0 * half_diamond_unitary(
                     exact.evolve_restricted(qs, 1.0), trot.evolve_restricted(qs, 1.0)
                 )

@@ -52,8 +52,17 @@ def test_time_slope_tracks_inverse_eps():
     assert 0.7 <= slope <= 1.3
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    # Every cell is checked before the first trial runs.
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the grid was validated")
+
+    monkeypatch.setattr("hamlearn.bench.run_learning_trial", no_trial)
     with pytest.raises(ValueError):
         sweep([], [0.1], trials=1, base_seed=0)
     with pytest.raises(ValueError):
         sweep([2], [0.1], trials=0, base_seed=0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        sweep([8, 16], [0.05, 0.0], trials=3, base_seed=0)
+    with pytest.raises(ValueError, match="got 300"):
+        sweep([4, 300], [0.1], trials=1, base_seed=0, n=4)

@@ -13,16 +13,16 @@ from scipy.linalg import expm
 import hamlearn
 from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
+from hamlearn.distances import half_diamond_unitary
 from hamlearn.errors import BudgetError, CapacityError
 from hamlearn.hamiltonian import SparseHamiltonian, random_instance
 from hamlearn.oracle import (
     EvolutionOracle,
     OracleConfig,
     ResourceLedger,
-    calibrate_trotter_kappa,
     pauli_coefficient,
     pauli_transform,
-    plan_trotter,
+    trotter_steps,
 )
 from hamlearn.pauli import PauliString
 
@@ -80,11 +80,8 @@ def test_config_validation():
 
 
 def test_trotter_plan_arithmetic():
-    plan = plan_trotter(R=4, c=0.5, t=2.0, epsilon=0.01, kappa=1.0)
-    assert plan.l == math.ceil(math.sqrt((4 * 0.5 * 2.0) ** 3 / 0.01))
-    assert plan.query_count == 2 * 4 * plan.l
-    assert plan.per_query_time == pytest.approx(2.0 / (2 * plan.l))
-    assert plan_trotter(R=1, c=0.0, t=0.0, epsilon=1.0, kappa=1.0).l == 1
+    assert trotter_steps(4, 0.5, 2.0, 0.01) == math.ceil(math.sqrt((4 * 0.5 * 2.0) ** 3 / 0.01))
+    assert trotter_steps(1, 0.0, 0.0, 1.0) == 1
 
 
 # -- evolve --------------------------------------------------------------------
@@ -208,10 +205,10 @@ def test_restricted_ledger_accounting():
     r, t = 2, 1.5
     qs = [P("XI"), P("IZ")]
     oracle.evolve_restricted(qs, t)
-    plan = plan_trotter(R=4, c=h.op_norm() / 4, t=t, epsilon=0.01)
+    l = trotter_steps(4, h.op_norm() / 4, t, 0.01)
     assert oracle.ledger.total_evolution_time == pytest.approx(t)
-    assert oracle.ledger.queries == (1 << r) * plan.l
-    assert oracle.ledger.min_time_resolution == pytest.approx(t / ((1 << (r + 1)) * plan.l))
+    assert oracle.ledger.queries == (1 << r) * l
+    assert oracle.ledger.min_time_resolution == pytest.approx(t / ((1 << (r + 1)) * l))
     # Total time adds up across calls regardless of the Trotter overhead.
     oracle.evolve_restricted(qs, 0.5)
     assert oracle.ledger.total_evolution_time == pytest.approx(2.0)
@@ -268,9 +265,20 @@ def test_trotter_error_decreases_with_step_count():
     assert errors[0] >= errors[1] >= errors[2]
 
 
-def test_calibrate_trotter_kappa_small():
-    kappa = calibrate_trotter_kappa(epsilon=0.1, n=2, r=1, trials=2, seed=1)
-    assert kappa >= 1.0
+def test_trotter_budget_met_beyond_unit_time():
+    # Step constant 1 across n, r and t, at a tight budget.
+    epsilon = 1e-3
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for r in (1, 2, 3):
+            for t in (0.5, 2.0):
+                h = random_instance(n, 3, rng)
+                qs = [pl.random_uniform(n, rng) for _ in range(r)]
+                exact = make_oracle(h, mode="exact").evolve_restricted(qs, t)
+                trot = make_oracle(h, mode="trotter", trotter_epsilon=epsilon).evolve_restricted(
+                    qs, t
+                )
+                assert 2.0 * half_diamond_unitary(exact, trot) <= epsilon
 
 
 # -- Pauli transform -----------------------------------------------------------
@@ -512,8 +520,7 @@ def test_estimate_charges_all_shots():
     led = oracle.ledger
     assert led.experiments == 500
     assert led.total_evolution_time == pytest.approx(500 * 1.0)
-    plan = plan_trotter(R=2, c=h.op_norm() / 2, t=1.0, epsilon=0.01)
-    assert led.queries == 500 * 2 * plan.l
+    assert led.queries == 500 * 2 * trotter_steps(2, h.op_norm() / 2, 1.0, 0.01)
     assert led.ancilla_qubits == 2
 
 
