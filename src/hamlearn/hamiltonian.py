@@ -167,11 +167,26 @@ class SparseHamiltonian:
             m[rows, cols] += c * values
         return m
 
+    def compressed(self) -> tuple["SparseHamiltonian", pl.SymplecticBasis]:
+        """This Hamiltonian carried onto a + b <= n qubits, and the basis doing it.
+
+        Symplectic Gram-Schmidt on the terms (:func:`pauli.symplectic_basis`)
+        gives a anticommuting pairs and b central strings; the image is the
+        same sum of terms with each string replaced by its image under the
+        basis' *-isomorphism, with real coefficients +-h_P.
+        :meth:`pauli.SymplecticBasis.lift` maps results back.
+        """
+        basis = pl.symplectic_basis(self.n, self._terms)
+        image = {}
+        for p, c in self._terms.items():
+            q, sign = basis.encode(p)
+            image[q] = sign * c
+        return SparseHamiltonian(basis.qubits, image), basis
+
     def norms(self) -> tuple[float, float, float, float]:
         """Return ``(l1, l2, linf, op)`` norms of the coefficient vector.
 
-        The operator norm is computed by dense eigendecomposition and obeys
-        ``s*linf >= op >= linf`` and ``l1 >= op >= l2``.
+        The operator norm obeys ``s*linf >= op >= linf`` and ``l1 >= op >= l2``.
         """
         coeffs = np.array(list(self._terms.values())) if self._terms else np.zeros(0)
         l1 = float(np.abs(coeffs).sum())
@@ -180,9 +195,14 @@ class SparseHamiltonian:
         return l1, l2, linf, self.op_norm()
 
     def op_norm(self) -> float:
+        """Largest |eigenvalue|, from the spectrum of :meth:`compressed`.
+
+        The spectrum as a set is the same in every faithful representation,
+        so only multiplicities differ from the n-qubit matrix.
+        """
         if not self._terms:
             return 0.0
-        evals = np.linalg.eigvalsh(self.dense_matrix())
+        evals = np.linalg.eigvalsh(self.compressed()[0].dense_matrix())
         return float(np.abs(evals).max())
 
     def spectral_data(self) -> SpectralData:

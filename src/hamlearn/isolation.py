@@ -65,7 +65,7 @@ def draw_isolation(
     Survivors are computed by symplectic products only; no dense work.
     """
     r = isolation_rounds(s_bound)
-    qs = [pl.random_uniform(h.n, rng) for _ in range(r)]
+    qs = pl.random_uniforms(h.n, r, rng)
     survivors = frozenset(h.restrict(qs).support)
     return IsolationDraw(qs=qs, r=r, survivors=survivors)
 

@@ -140,7 +140,7 @@ def learn_support(
     t_lo = math.pi / 4.0
     found: set[PauliString] = set()
     for _ in range(support_rounds(params)):
-        qs = [pl.random_uniform(n, rng) for _ in range(r)]
+        qs = pl.random_uniforms(n, r, rng)
         t = rng.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo
         outcome = oracle.sample_restricted(qs, t)
         if not outcome.is_identity:

@@ -14,10 +14,14 @@ that picks a representation. In ``trotter`` mode a restricted evolution is
 the symmetric product over the ``2^r`` conjugated summands, actually
 multiplied out, which meets the configured diamond-norm budget. In
 ``exact`` mode it is the closed-form Pauli expansion when the restricted
-terms commute pairwise, and the dense exponential (by eigendecomposition)
-otherwise; the ledger still records the query count and time resolution
-that the second-order product formula would need (Trotterization preserves
-total evolution time, so that counter is charged the plain ``t``).
+terms commute pairwise. Otherwise the restricted Hamiltonian is carried by
+symplectic Gram-Schmidt onto a + b <= n qubits (a anticommuting pairs, b
+central strings; :meth:`SparseHamiltonian.compressed`), exponentiated
+densely there and its Pauli amplitudes mapped back, so the cost does not
+grow with n and exact sampling has no qubit cap. The ledger still records
+the query count and time resolution that the second-order product formula
+would need (Trotterization preserves total evolution time, so that counter
+is charged the plain ``t``).
 
 The product formula takes ``l = ceil(sqrt((R c t)^3 / eps))`` steps for R
 summands of norm at most c (:func:`trotter_steps`); its step constant is
@@ -105,7 +109,9 @@ class OracleConfig:
     ``trotter_epsilon`` is the diamond-norm budget granted to product
     formulas; their step count :func:`trotter_steps` has constant 1.
     ``query_budget``, if set, caps the queries of one restricted-evolution
-    charge. Dense simulation is capped at ``pauli.DENSE_LIMIT`` qubits.
+    charge. Dense n-qubit unitaries (``evolve``, ``evolve_restricted``,
+    ``pauli_sample``) and trotter mode are capped at ``pauli.DENSE_LIMIT``
+    qubits; exact sampling and estimation are not.
     The RNG is passed to :class:`EvolutionOracle`, not configured here.
     The learner's Taylor remainder constant is fixed at C = 1, so a stage
     of accuracy eps evolves for t = 1/(800 eps).
@@ -186,6 +192,19 @@ def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
 
 
+def _compressed_amplitudes(h: SparseHamiltonian, t: float) -> dict[PauliString, complex]:
+    """Nonzero Pauli amplitudes of ``e^{-itH}`` in ``PauliString.index`` order.
+
+    Exponentiates the (a+b)-qubit image of :meth:`SparseHamiltonian.compressed`
+    densely and lifts its Pauli coefficients back to n qubits. Outcomes
+    come in the order a dense n-qubit transform lists them, so seeded draws
+    match the dense path up to rounding.
+    """
+    small, basis = h.compressed()
+    u = _evolution(*eigh(small.dense_matrix()), t)
+    return basis.lift(pauli_transform(u))
+
+
 # ---------------------------------------------------------------------------
 # the oracle
 # ---------------------------------------------------------------------------
@@ -225,7 +244,7 @@ class EvolutionOracle:
 
     def _op_norm(self) -> float:
         if self._op_norm_cache is None:
-            self._op_norm_cache = float(np.abs(self._eigensystem()[0]).max())
+            self._op_norm_cache = self.hamiltonian.op_norm()
         return self._op_norm_cache
 
     def _charge_restricted(self, r: int, t: float, executions: int = 1) -> None:
@@ -266,26 +285,28 @@ class EvolutionOracle:
         """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
 
         Checks the query and charges nothing. Returns the executed product
-        formula in trotter mode with ``qs``; otherwise the dict of nonzero
-        Pauli amplitudes when the restricted terms commute pairwise (unless
-        ``dense``), else the dense exponential.
+        formula in trotter mode with ``qs``, and the dense exponential when
+        ``dense``; both are capped at ``pauli.DENSE_LIMIT`` qubits. Otherwise
+        returns the dict of nonzero Pauli amplitudes: in closed form when the
+        restricted terms commute pairwise, else from the compressed
+        Hamiltonian (:func:`_compressed_amplitudes`).
         """
         if t < 0:
             raise ValueError("negative evolution time")
-        pl.check_dense(self.n)
         if drift is not None and abs(drift[1]) > 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
         if self.config.mode == "trotter" and qs:
+            pl.check_dense(self.n)
             return self._execute_trotter(qs, t, drift)
         h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
         if drift is not None:
             h = h.add_term(*drift)
-        if not dense:
-            amplitudes = self._structured_amplitudes(list(h.terms.items()), t)
-            if amplitudes is not None:
-                return amplitudes
-        eig = self._eigensystem() if h is self.hamiltonian else eigh(h.dense_matrix())
-        return _evolution(*eig, t)
+        if dense:
+            pl.check_dense(self.n)
+            eig = self._eigensystem() if h is self.hamiltonian else eigh(h.dense_matrix())
+            return _evolution(*eig, t)
+        amplitudes = self._structured_amplitudes(list(h.terms.items()), t)
+        return amplitudes if amplitudes is not None else _compressed_amplitudes(h, t)
 
     # -- evolution queries -------------------------------------------------
 

@@ -13,12 +13,15 @@ The represented operator is the Hermitian combination
 
 so every ``PauliString`` satisfies ``P == P.dagger`` and ``P @ P == Id``.
 Commutation is decided by the GF(2) symplectic product of the bit masks;
-two strings commute iff ``x_p.z_q + z_p.x_q = 0 (mod 2)``.
+two strings commute iff ``x_p.z_q + z_p.x_q = 0 (mod 2)``. A symplectic
+basis of a span of strings (:func:`symplectic_basis`) carries the algebra
+they generate onto as few qubits as it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -191,16 +194,28 @@ def dense(p: PauliString) -> np.ndarray:
     return m
 
 
-def random_uniform(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform sample over all 4^n Pauli strings (identity included)."""
+def random_uniforms(n: int, count: int, rng: np.random.Generator) -> list[PauliString]:
+    """``count`` independent uniform samples over all 4^n strings, from one draw.
+
+    Row k of one ``(count, 2n)`` bit array gives string k, so the result
+    equals ``count`` consecutive :func:`random_uniform` calls on the same
+    generator.
+    """
     if n < 1:
         raise ValueError("qubit count must be positive")
-    bits = rng.integers(0, 2, size=2 * n)
-    x = z = 0
-    for xb, zb in zip(bits[:n], bits[n:]):
-        x = (x << 1) | int(xb)
-        z = (z << 1) | int(zb)
-    return PauliString(n, x, z)
+    out = []
+    for row in rng.integers(0, 2, size=(count, 2 * n)).tolist():
+        x = z = 0
+        for xb, zb in zip(row[:n], row[n:]):
+            x = (x << 1) | xb
+            z = (z << 1) | zb
+        out.append(PauliString(n, x, z))
+    return out
+
+
+def random_uniform(n: int, rng: np.random.Generator) -> PauliString:
+    """Uniform sample over all 4^n Pauli strings (identity included)."""
+    return random_uniforms(n, 1, rng)[0]
 
 
 def random_commuting(p: PauliString, rng: np.random.Generator) -> PauliString:
@@ -225,3 +240,148 @@ def random_commuting(p: PauliString, rng: np.random.Generator) -> PauliString:
         return PauliString(p.n, q.x_bits ^ pivot, q.z_bits)
     pivot = p.x_bits & -p.x_bits
     return PauliString(p.n, q.x_bits, q.z_bits ^ pivot)
+
+
+# ---------------------------------------------------------------------------
+# symplectic basis of a span
+# ---------------------------------------------------------------------------
+
+
+def _key(p: PauliString) -> int:
+    """The 2n-bit vector ``x || z`` of a string."""
+    return (p.x_bits << p.n) | p.z_bits
+
+
+def _xor(p: PauliString, q: PauliString) -> PauliString:
+    """The string whose bit vector is the sum of those of ``p`` and ``q``."""
+    return PauliString(p.n, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
+
+
+def _reduced_echelon(vectors: Iterable[int]) -> list[int]:
+    """Basis of the GF(2) span of ``vectors`` in reduced echelon form.
+
+    Leading bits are distinct and each appears in its own vector only, so
+    the coordinate of a basis vector in any vector of the span is the
+    span vector's bit at that leading position.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
+    return basis
+
+
+def _times(element, generator):
+    """Right-multiply ``(string, image, sign)`` by ``(generator, its image)``."""
+    (p, q, sign), (g, img) = element, generator
+    p, phase_p = multiply(p, g)
+    q, phase_q = multiply(q, img)
+    return p, q, sign * round((phase_q * phase_p.conjugate()).real)
+
+
+@dataclass(frozen=True)
+class SymplecticBasis:
+    """Basis of the GF(2) span of some n-qubit strings, in symplectic form.
+
+    ``pairs`` holds a anticommuting pairs (e_i, f_i) and ``central`` b
+    strings commuting with the whole span; strings of different pairs
+    commute. The map e_i -> X_i, f_i -> Z_i, c_j -> Z_{a+j} onto
+    :attr:`qubits` = a + b qubits extends to a *-isomorphism between the
+    operator algebras the two sets of strings span. It sends each string
+    of the span to ``sign * image`` with ``sign`` = +-1, so spectra (as
+    sets) and functions such as e^{-itH} carry over. ``central`` is in
+    reduced echelon form on the vectors ``x || z``.
+    """
+
+    n: int
+    pairs: tuple[tuple[PauliString, PauliString], ...]
+    central: tuple[PauliString, ...]
+
+    @property
+    def qubits(self) -> int:
+        return max(1, len(self.pairs) + len(self.central))
+
+    def _generators(self) -> list[tuple[PauliString, PauliString]]:
+        """(string, image) of e_1, f_1, ..., e_a, f_a, c_1, ..., c_b in order."""
+        m, a = self.qubits, len(self.pairs)
+        gens = []
+        for i, (e, f) in enumerate(self.pairs):
+            bit = 1 << (m - 1 - i)
+            gens += [(e, PauliString(m, bit, 0)), (f, PauliString(m, 0, bit))]
+        for j, c in enumerate(self.central):
+            gens.append((c, PauliString(m, 0, 1 << (m - 1 - a - j))))
+        return gens
+
+    def encode(self, p: PauliString) -> tuple[PauliString, int]:
+        """``(image, sign)`` of a string of the span."""
+        used = []
+        residual = _key(p)
+        for e, f in self.pairs:
+            # Coordinates in a symplectic basis are products with the partner.
+            ce, cf = symplectic_product(p, f), symplectic_product(p, e)
+            used += [ce, cf]
+            residual ^= ce * _key(e) ^ cf * _key(f)
+        # What is left lies in the central span; read it off the leading bits.
+        used += [residual >> (_key(c).bit_length() - 1) & 1 for c in self.central]
+        element = (PauliString.identity(self.n), PauliString.identity(self.qubits), 1)
+        for gen, bit in zip(self._generators(), used):
+            if bit:
+                element = _times(element, gen)
+        if element[0] != p:
+            raise ValueError(f"{p} is not in the span of the basis")
+        return element[1], element[2]
+
+    def elements(self) -> list[tuple[PauliString, PauliString, int]]:
+        """``(string, image, sign)`` for all 2^(2a+b) strings of the span."""
+        out = [(PauliString.identity(self.n), PauliString.identity(self.qubits), 1)]
+        for gen in self._generators():
+            out += [_times(element, gen) for element in out]
+        return out
+
+    def lift(self, coeffs: np.ndarray) -> dict[PauliString, complex]:
+        """n-qubit Pauli amplitudes of an operator given on the image qubits.
+
+        ``coeffs`` are the flat 4^m Pauli coefficients (``PauliString.index``
+        order) of an operator in the image algebra, such as a function of an
+        image Hamiltonian. Returns the nonzero amplitudes in n-qubit index
+        order.
+        """
+        amps = [(p, sign * complex(coeffs[q.index])) for p, q, sign in self.elements()]
+        return dict(sorted(((p, a) for p, a in amps if a != 0), key=lambda kv: kv[0].index))
+
+
+def symplectic_basis(n: int, strings: Iterable[PauliString]) -> SymplecticBasis:
+    """Symplectic Gram-Schmidt on the span of ``strings``.
+
+    Each step takes a string, pairs it with the first remaining string it
+    anticommutes with, and projects every other remaining string onto the
+    part commuting with both; a string that anticommutes with none of the
+    remaining ones commutes with the whole span. See Gottesman,
+    arXiv:quant-ph/9705052, and Aaronson and Gottesman,
+    arXiv:quant-ph/0406196.
+    """
+    pool = list(strings)
+    pairs, commuting = [], []
+    while pool:
+        e = pool.pop(0)
+        j = next((j for j, w in enumerate(pool) if symplectic_product(e, w)), None)
+        if j is None:
+            commuting.append(_key(e))
+            continue
+        f = pool.pop(j)
+        projected = []
+        for w in pool:
+            # w + [w, f] e + [w, e] f commutes with e and with f.
+            sf, se = symplectic_product(w, f), symplectic_product(w, e)
+            if sf:
+                w = _xor(w, e)
+            if se:
+                w = _xor(w, f)
+            projected.append(w)
+        pool = projected
+        pairs.append((e, f))
+    mask = (1 << n) - 1
+    central = tuple(PauliString(n, v >> n, v & mask) for v in _reduced_echelon(commuting))
+    return SymplecticBasis(n, tuple(pairs), central)

@@ -27,6 +27,13 @@ def test_trial_determinism():
     assert a == b
 
 
+def test_learning_trial_at_forty_qubits():
+    # Exact sampling runs on the compressed Hamiltonian, so no 2^40 matrix.
+    row = run_learning_trial(n=40, s=4, eps=0.1, delta=0.1, seed=0)
+    assert row.success and row.linf_error <= 0.1
+    assert row.ancilla == 40
+
+
 def test_sweep_row_order_and_count():
     rows = sweep([2, 4], [0.1], trials=2, base_seed=40, n=4, support_rounds_c0=8)
     assert [r.s for r in rows] == [2, 2, 4, 4]

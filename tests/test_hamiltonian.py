@@ -187,6 +187,41 @@ def test_norm_sandwich_inequalities():
         assert l1 + 1e-12 >= op >= l2 - 1e-12
 
 
+def _labels(h):
+    return {p.label: c for p, c in h.terms.items()}
+
+
+def _commuting_instance(n, s, rng):
+    """s distinct Z-type strings (all commute) with random coefficients."""
+    zs = rng.choice(np.arange(1, 2**n), size=s, replace=False)
+    return SparseHamiltonian(n, {PauliString(n, 0, int(z)): float(rng.uniform(-1, 1)) for z in zs})
+
+
+def test_compressed_op_norm_matches_dense_spectrum():
+    # Dense reference: eigvalsh of the kron-built n-qubit matrix.
+    rng = np.random.default_rng(78)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        s = int(rng.integers(1, min(10, 4**n - 1) + 1))
+        h1, h2 = random_instance(n, s, rng), random_instance(n, s, rng)
+        commuting = _commuting_instance(n, min(s, 2**n - 1), rng)
+        for h in (h1, h1 - h2, commuting):
+            small = h.compressed()[0]
+            assert small.n <= n
+            assert small.sparsity == h.sparsity
+            dense = np.abs(np.linalg.eigvalsh(kron_hamiltonian(_labels(h)))).max()
+            assert abs(h.op_norm() - dense) < 1e-12
+
+
+def test_op_norm_beyond_dense_cap():
+    # Two anticommuting pairs on disjoint qubits of a 40-qubit register.
+    h = H(40, {"X" + "I" * 39: 0.3, "Z" + "I" * 39: 0.4, "I" * 38 + "YY": 0.6, "I" * 39 + "X": 0.8})
+    assert h.compressed()[0].n == 2
+    assert h.op_norm() == pytest.approx(0.5 + 1.0, abs=1e-12)
+    with pytest.raises(CapacityError):
+        h.dense_matrix()
+
+
 # -- random instances --------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import hamlearn
+import hamlearn.oracle as oracle_mod
 from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
@@ -402,12 +403,64 @@ def test_sample_restricted_charges_like_evolve_plus_sample():
     assert a.ledger == b.ledger
 
 
-def test_sample_restricted_noncommuting_falls_back_to_dense():
+def test_sample_restricted_noncommuting_runs_compressed():
     h = H(1, {"X": 0.4, "Z": 0.3})  # anticommuting survivors
     oracle = make_oracle(h, seed=7)
     assert oracle._structured_amplitudes(list(h.terms.items()), 1.0) is None
+    amps = oracle._simulate([], 1.0, None)
+    assert isinstance(amps, dict) and set(amps) <= {P("I"), P("X"), P("Y"), P("Z")}
+    assert list(amps) == sorted(amps, key=lambda p: p.index)
+    assert abs(amps.get(P("Y"), 0.0)) < 1e-15
+    assert abs(amps[P("X")] + 1j * math.sin(0.5) * 0.8) < 1e-15
     outcome = oracle.sample_restricted([], 1.0)
     assert outcome.n == 1
+
+
+def _amplitude_vector(amps, n):
+    vec = np.zeros(4**n, dtype=complex)
+    for p, a in amps.items():
+        vec[p.index] = a
+    return vec
+
+
+def test_compressed_amplitudes_match_dense_expm():
+    # Independent dense oracle: kron-built matrix, scipy expm, then the
+    # Pauli transform; phases are compared, not just probabilities.
+    rng = np.random.default_rng(91)
+    for trial in range(300):
+        n = int(rng.integers(1, 6))
+        s = int(rng.integers(1, min(10, 4**n - 1) + 1))
+        if trial % 3 == 0:
+            zs = rng.choice(np.arange(1, 2**n), size=min(s, 2**n - 1), replace=False)
+            h = SparseHamiltonian(n, {PauliString(n, 0, int(z)): rng.uniform(-1, 1) for z in zs})
+        else:
+            h = random_instance(n, s, rng)
+        t = float(rng.uniform(0.0, 4.0))
+        assert h.compressed()[0].n <= n
+        amps = oracle_mod._compressed_amplitudes(h, t)
+        indices = [p.index for p in amps]
+        assert indices == sorted(indices)
+        labelled = {p.label: c for p, c in h.terms.items()}
+        expected = pauli_transform(expm(-1j * t * kron_hamiltonian(labelled)))
+        assert np.abs(_amplitude_vector(amps, n) - expected).max() < 1e-12
+
+
+def test_exact_sampling_beyond_dense_cap():
+    # Three pairwise anticommuting terms and one central term on a 40-qubit
+    # register: one pair and two central strings (Z on qubit 39, ZZ).
+    h = H(40, {"X" + "I" * 39: 0.5, "Z" + "I" * 39: -0.3, "Y" + "I" * 38 + "Z": 0.2,
+               "I" * 20 + "ZZ" + "I" * 18: 0.7})
+    assert h.compressed()[0].n == 3
+    oracle = make_oracle(h, seed=3)
+    amps = oracle._simulate([], 0.8, None)
+    assert abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) < 1e-12
+    assert all(p.n == 40 for p in amps)
+    outcome = oracle.sample_restricted([P("I" * 20 + "XX" + "I" * 18)], 0.8)
+    assert outcome.n == 40
+    assert oracle.estimate_pauli_coeff_magnitude([], None, P("X" + "I" * 39), 0.8, 100) >= 0.0
+    assert oracle.ledger.experiments == 101
+    with pytest.raises(CapacityError):
+        oracle.evolve(0.8)
 
 
 def test_rejected_sample_restricted_charges_nothing():
@@ -424,7 +477,8 @@ def test_rejected_sample_restricted_charges_nothing():
 
 
 # Restrictions by XX keep the commuting pair {XX, ZZ} (closed form); XI and
-# ZI anticommute (dense exponential); trotter mode executes the product.
+# ZI anticommute (compressed exponential, which draws as the dense n-qubit
+# exponential did); trotter mode executes the product.
 _CLOSED = H(2, {"XX": 0.5, "ZZ": -0.4, "ZI": 0.3})
 _DENSE = H(2, {"XI": 0.4, "ZI": 0.3, "XX": 0.5})
 

@@ -213,3 +213,93 @@ def test_random_commuting_identity_falls_back_to_uniform():
     rng = np.random.default_rng(3)
     seen = {pl.random_commuting(PauliString.identity(1), rng).label for _ in range(2000)}
     assert seen == {"I", "X", "Y", "Z"}
+
+
+def _one_string(n, rng):
+    """Independent reference draw: 2n bits, x bits first, qubit 0 most significant."""
+    bits = [int(b) for b in rng.integers(0, 2, size=2 * n)]
+    x = int("".join(map(str, bits[:n])), 2)
+    z = int("".join(map(str, bits[n:])), 2)
+    return PauliString(n, x, z)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 12, 40])
+def test_random_uniforms_match_consecutive_draws(n):
+    # Support rounds batch their r strings, then draw a time; the seeded
+    # stream must equal r single-string draws followed by the same time.
+    for r in (1, 4, 5, 7):
+        batched, single = np.random.default_rng(n * 10 + r), np.random.default_rng(n * 10 + r)
+        for _ in range(2000):
+            assert pl.random_uniforms(n, r, batched) == [_one_string(n, single) for _ in range(r)]
+            assert batched.uniform(0.5, 20.0) == single.uniform(0.5, 20.0)
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    assert [pl.random_uniform(n, a) for _ in range(5)] == pl.random_uniforms(n, 5, b)
+
+
+# -- symplectic basis -----------------------------------------------------------
+
+
+def _gf2_rank(strings):
+    return len(pl._reduced_echelon(pl._key(p) for p in strings))
+
+
+def _random_strings(rng, n, count):
+    return [pl.random_uniform(n, rng) for _ in range(count)]
+
+
+def test_symplectic_basis_normal_form():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        strings = _random_strings(rng, n, int(rng.integers(0, 11)))
+        basis = pl.symplectic_basis(n, strings)
+        a, b = len(basis.pairs), len(basis.central)
+        assert 2 * a + b == _gf2_rank(strings)
+        assert basis.qubits == max(1, a + b) <= n
+        gens = [g for g, _ in basis._generators()]
+        for i, g in enumerate(gens):
+            for j, h in enumerate(gens):
+                partners = i // 2 == j // 2 and i != j and max(i, j) < 2 * a
+                assert pl.symplectic_product(g, h) == partners
+        # Every input is in the span and keeps its commutation relations.
+        images = [basis.encode(p) for p in strings]
+        for p, (q, sign) in zip(strings, images):
+            assert sign in (1, -1)
+            for p2, (q2, _) in zip(strings, images):
+                assert pl.symplectic_product(p, p2) == pl.symplectic_product(q, q2)
+
+
+def test_symplectic_basis_elements_form_the_span():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        strings = _random_strings(rng, n, int(rng.integers(1, 7)))
+        basis = pl.symplectic_basis(n, strings)
+        elements = basis.elements()
+        assert len(elements) == 2 ** _gf2_rank(strings)
+        assert len({p for p, _, _ in elements}) == len({q for _, q, _ in elements}) == len(elements)
+        for p, q, sign in elements:
+            assert basis.encode(p) == (q, sign)
+        assert set(strings) <= {p for p, _, _ in elements}
+
+
+def test_symplectic_basis_map_is_multiplicative():
+    # P -> sign * image preserves products, phases included.
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        basis = pl.symplectic_basis(n, _random_strings(rng, n, int(rng.integers(1, 7))))
+        table = {p: (q, sign) for p, q, sign in basis.elements()}
+        for p1, (q1, s1) in table.items():
+            for p2, (q2, s2) in table.items():
+                p3, phase_p = pl.multiply(p1, p2)
+                q3, phase_q = pl.multiply(q1, q2)
+                assert table[p3][0] == q3
+                assert s1 * s2 * phase_q == phase_p * table[p3][1]
+
+
+def test_encode_rejects_strings_outside_the_span():
+    basis = pl.symplectic_basis(2, [P("XI"), P("ZI")])
+    assert basis.qubits == 1
+    with pytest.raises(ValueError, match="span"):
+        basis.encode(P("IX"))
