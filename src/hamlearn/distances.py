@@ -12,6 +12,24 @@ inside the hull and the distance saturates at 1. The
 temperature-constrained distance is half the largest trace-norm difference
 between the two Gibbs states over inverse temperatures up to B.
 
+Both distances, and :func:`gibbs_trace_bound_check`, run on the joint
+image of the two Hamiltonians (:func:`hamiltonian.compress`): symplectic
+Gram-Schmidt on all terms of both gives a anticommuting pairs and b central
+strings, and e_i -> X_i, f_i -> Z_i, c_j -> Z_{a+j} carries the algebra the
+span generates onto m = a + b qubits. The result is exact at every n. The
+central strings' joint eigenspaces all have dimension 2^{n-b}, and on each
+of them the pairs act as a faithful copy of the a-qubit Pauli algebra, so
+in a suitable basis every element of the algebra is its m-qubit image
+tensored with the identity on 2^{n-m} dimensions. Hence the eigenphases of
+e^{itH1} e^{-itH2}, a product inside the algebra, are as a set those of
+the images, each with its multiplicity times 2^{n-m}, and the arc spread
+d_T reads off is unchanged. A normalized Gibbs state is
+rho = e^{-beta H}/Tr e^{-beta H} = rho_m (x) I/2^{n-m}, so
+||rho1 - rho2||_1 = ||rho1_m - rho2_m||_1 ||I/2^{n-m}||_1 is the image's
+value too. Work and memory depend on m only; ``pauli.DENSE_LIMIT`` caps m,
+not n. Spectral spreads, and hence the Lipschitz slopes below, do not
+depend on multiplicity.
+
 Suprema are found by Piyavskii-Shubert branch-and-bound on [0, budget]
 (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9(3), 1972): only
 intervals whose Lipschitz upper envelope can still beat the best value
@@ -36,7 +54,7 @@ import numpy as np
 
 from . import pauli as pl
 from .errors import DimensionMismatchError
-from .hamiltonian import SparseHamiltonian, eigh, op_distance
+from .hamiltonian import SparseHamiltonian, compress, eigh, op_distance
 from .pauli import PauliString
 
 _UNITARITY_TOL = 1e-10
@@ -209,12 +227,19 @@ def _supremum(
     return DistanceResult(value, argmax, max(0.0, upper - value), kind)
 
 
+def _joint_images(h1: SparseHamiltonian, h2: SparseHamiltonian):
+    """Dense matrices of both Hamiltonians on their joint (a+b)-qubit image.
+
+    The flag is true when the span has no anticommuting pair (a = 0): every
+    image string is then Z-type, so both matrices are diagonal.
+    """
+    (g1, g2), basis = compress(h1, h2)
+    return g1.dense_matrix(), g2.dense_matrix(), not basis.pairs
+
+
 def _eigensystems(h1: SparseHamiltonian, h2: SparseHamiltonian):
-    if h1.n != h2.n:
-        raise DimensionMismatchError("Hamiltonians act on different qubit counts")
-    w1, a = eigh(h1.dense_matrix())
-    w2, b = eigh(h2.dense_matrix())
-    return w1, a, w2, b
+    m1, m2, _ = _joint_images(h1, h2)
+    return (*eigh(m1), *eigh(m2))
 
 
 def d_T(
@@ -227,9 +252,9 @@ def d_T(
     """Time-constrained diamond distance over evolution times in [0, T].
 
     The half diamond distance at each time comes from the eigenphase arc of
-    V(t)^dagger W(t), evaluated without re-exponentiating: the eigenphases
-    equal those of e^{i t L1} M e^{-i t L2} M^dagger with M the fixed
-    eigenbasis overlap.
+    V(t)^dagger W(t) on the joint (a+b)-qubit image of both Hamiltonians,
+    evaluated without re-exponentiating: the eigenphases equal those of
+    e^{i t L1} M e^{-i t L2} M^dagger with M the fixed eigenbasis overlap.
     """
     _check_budget(T, grid)
     w1, a, w2, b = _eigensystems(h1, h2)
@@ -262,10 +287,6 @@ def _gibbs_trace_gap(w1, a, w2, b, beta: float) -> float:
     return float(np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum())
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return not np.any(m - np.diag(np.diag(m)))
-
-
 def d_B(
     h1: SparseHamiltonian,
     h2: SparseHamiltonian,
@@ -275,18 +296,17 @@ def d_B(
 ) -> DistanceResult:
     """Temperature-constrained trace distance over beta in [0, B].
 
-    Gibbs states are formed in each Hamiltonian's eigenbasis; the value is
-    half the trace norm of their difference, maximized by branch-and-bound. It
-    never exceeds (B/2) ||H1 - H2||_op. Commuting diagonal pairs (Z-type
-    Hamiltonians) skip the per-point diagonalization.
+    Gibbs states are formed in each image Hamiltonian's eigenbasis on the
+    joint (a+b)-qubit image; the value is half the trace norm of their
+    difference, maximized by branch-and-bound. It never exceeds
+    (B/2) ||H1 - H2||_op. When all terms of both Hamiltonians commute
+    pairwise (a = 0) both images are diagonal, and the per-point
+    diagonalization is skipped.
     """
     _check_budget(B, grid)
-    if h1.n != h2.n:
-        raise DimensionMismatchError("Hamiltonians act on different qubit counts")
-    m1 = h1.dense_matrix()
-    m2 = h2.dense_matrix()
+    m1, m2, diagonal = _joint_images(h1, h2)
 
-    if _is_diagonal(m1) and _is_diagonal(m2):
+    if diagonal:
         w1 = np.real(np.diag(m1))
         w2 = np.real(np.diag(m2))
 

@@ -125,16 +125,25 @@ class SparseHamiltonian:
         Equals the iterated dense symmetrization ``(H' + Q H' Q)/2`` over
         the list, in any order.
         """
-        qs = list(qs)
+        masks = []
         for q in qs:
             if q.n != self.n:
                 raise DimensionMismatchError("restriction string has wrong qubit count")
-        kept = {
-            p: c
-            for p, c in self._terms.items()
-            if all(pl.symplectic_product(p, q) == 0 for q in qs)
-        }
-        return SparseHamiltonian(self.n, kept)
+            masks.append((q.x_bits, q.z_bits))
+        kept = {}
+        for p, c in self._terms.items():
+            px, pz = p.x_bits, p.z_bits
+            for qx, qz in masks:
+                # Parity of the symplectic product: odd means p and q anticommute.
+                if ((px & qz) ^ (pz & qx)).bit_count() & 1:
+                    break
+            else:
+                kept[p] = c
+        # A subset of clean, sorted terms is itself clean and sorted.
+        h = object.__new__(SparseHamiltonian)
+        object.__setattr__(h, "n", self.n)
+        object.__setattr__(h, "_terms", kept)
+        return h
 
     def add_term(self, p: PauliString, delta: float) -> "SparseHamiltonian":
         """New Hamiltonian with ``delta`` added to the coefficient of ``p``."""
@@ -168,20 +177,9 @@ class SparseHamiltonian:
         return m
 
     def compressed(self) -> tuple["SparseHamiltonian", pl.SymplecticBasis]:
-        """This Hamiltonian carried onto a + b <= n qubits, and the basis doing it.
-
-        Symplectic Gram-Schmidt on the terms (:func:`pauli.symplectic_basis`)
-        gives a anticommuting pairs and b central strings; the image is the
-        same sum of terms with each string replaced by its image under the
-        basis' *-isomorphism, with real coefficients +-h_P.
-        :meth:`pauli.SymplecticBasis.lift` maps results back.
-        """
-        basis = pl.symplectic_basis(self.n, self._terms)
-        image = {}
-        for p, c in self._terms.items():
-            q, sign = basis.encode(p)
-            image[q] = sign * c
-        return SparseHamiltonian(basis.qubits, image), basis
+        """This Hamiltonian on a + b <= n qubits; the one-Hamiltonian case of :func:`compress`."""
+        (image,), basis = compress(self)
+        return image, basis
 
     def norms(self) -> tuple[float, float, float, float]:
         """Return ``(l1, l2, linf, op)`` norms of the coefficient vector.
@@ -271,6 +269,33 @@ def random_instance(
     mags = rng.uniform(coeff_floor, coeff_range, size=s)
     signs = rng.choice([-1.0, 1.0], size=s)
     return SparseHamiltonian(n, {p: float(m * sg) for p, m, sg in zip(ordered, mags, signs)})
+
+
+def compress(
+    *hamiltonians: SparseHamiltonian,
+) -> tuple[list[SparseHamiltonian], pl.SymplecticBasis]:
+    """Carry Hamiltonians on n qubits onto the a + b <= n qubits of their joint span.
+
+    Symplectic Gram-Schmidt on all their terms (:func:`pauli.symplectic_basis`)
+    gives a anticommuting pairs and b central strings; each image is the
+    same sum of terms with every string replaced by its image under the
+    basis' *-isomorphism, with real coefficients +-h_P. Sums, products and
+    functions of the Hamiltonians carry over, so spectra agree as sets.
+    :meth:`pauli.SymplecticBasis.lift` maps results back.
+    """
+    n = hamiltonians[0].n
+    if any(h.n != n for h in hamiltonians):
+        raise DimensionMismatchError("Hamiltonians act on different qubit counts")
+    strings = dict.fromkeys(p for h in hamiltonians for p in h._terms)
+    basis = pl.symplectic_basis(n, strings)
+    images = []
+    for h in hamiltonians:
+        image = {}
+        for p, c in h._terms.items():
+            q, sign = basis.encode(p)
+            image[q] = sign * c
+        images.append(SparseHamiltonian(basis.qubits, image))
+    return images, basis
 
 
 def linf_distance(h1: SparseHamiltonian, h2: SparseHamiltonian) -> float:

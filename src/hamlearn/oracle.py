@@ -389,10 +389,17 @@ class EvolutionOracle:
         else:
             outcomes = None
             probs = np.abs(pauli_transform(u)) ** 2
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-8:
+        total = probs.sum() if probs.size > 1 else probs[0]
+        if not abs(total - 1.0) <= 1e-8:
             raise ValueError("Pauli coefficients of input violate Parseval identity")
-        idx = int(self.rng.choice(probs.size, p=probs / total))
+        # The inverse-CDF draw Generator.choice(p=probs / total) makes, from
+        # the same single uniform, so seeded outcomes match it bit for bit.
+        x = self.rng.random()
+        if probs.size == 1:  # only an amplitude dict has a lone outcome
+            return outcomes[0]
+        cdf = np.cumsum(probs / total)
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(x, side="right"))
         return outcomes[idx] if outcomes else PauliString.from_index(self.n, idx)
 
     def pauli_sample(self, u: np.ndarray) -> PauliString:

@@ -1,6 +1,7 @@
 """CLI contracts: determinism, schemas, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -93,13 +94,37 @@ def test_distance_command(tmp_path):
 
 
 def test_distance_capacity_exit_code(tmp_path):
+    # 13 commuting single-qubit Z terms: 13 central strings, a 13-qubit joint image.
     big = tmp_path / "big.json"
-    label = "X" + "I" * 12  # 13 qubits, above the dense limit
-    big.write_text(json.dumps({"n": 13, "terms": [{"pauli": label, "coeff": 0.5}]}))
-    proc = run_cli(
-        "distance", "--kind", "time", "--budget", "1.0", "--h1", str(big), "--h2", str(big)
-    )
-    assert proc.returncode == 3
+    labels = ["I" * k + "Z" + "I" * (12 - k) for k in range(13)]
+    big.write_text(json.dumps({"n": 13, "terms": [{"pauli": s, "coeff": 0.5} for s in labels]}))
+    for kind in ("time", "temperature"):
+        proc = run_cli(
+            "distance", "--kind", kind, "--budget", "1.0", "--h1", str(big), "--h2", str(big)
+        )
+        assert proc.returncode == 3
+
+
+def test_distance_beyond_dense_cap(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli("gen", "--n", "40", "--s", "4", "--seed", "1", "--out", str(a))
+    run_cli("gen", "--n", "40", "--s", "4", "--seed", "2", "--out", str(b))
+    gap = (SparseHamiltonian.load(a) - SparseHamiltonian.load(b)).op_norm()
+    assert gap > 0
+    for kind, budget in (("time", 0.5), ("temperature", 1.0)):
+        proc = run_cli(
+            "distance", "--kind", kind, "--budget", str(budget),
+            "--h1", str(a), "--h2", str(b), "--grid", "128",
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert 0.0 < doc["value"] <= 1.0
+        if kind == "time":
+            assert doc["value"] <= math.sin(min(math.pi / 2, budget * gap)) + 1e-9
+            quarter = 1 / (4 * math.pi)
+            assert doc["value"] >= gap * min(budget, quarter) * quarter - doc["grid_error"] - 1e-9
+        else:
+            assert doc["value"] <= 0.5 * budget * gap + doc["grid_error"] + 1e-9
 
 
 def test_vv_stats_csv():

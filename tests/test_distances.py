@@ -453,6 +453,55 @@ def test_dt_close_pair_needs_few_evaluations(monkeypatch):
     assert res.value > 0.0
 
 
+# -- joint compression against the dense n-qubit objectives ------------------------
+
+
+def _expm_objectives(m1, m2, t, beta):
+    """d_T objective at t, d_B objective at beta and the Gibbs gap at beta = -1."""
+    x = expm(1j * t * m1) @ expm(-1j * t * m2)
+    dt = _arc_values(np.angle(np.linalg.eigvals(x)))
+
+    def gap(b):
+        r1, r2 = expm(-b * m1), expm(-b * m2)
+        diff = r1 / np.trace(r1).real - r2 / np.trace(r2).real
+        return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+    return float(dt), 0.5 * gap(beta), gap(-1.0)
+
+
+def _pair_cases(rng):
+    """About 200 pairs on n <= 6 qubits, special cases first."""
+    yield H(3, {"XZI": 0.4, "IYI": -0.3}), H(3, {"IIZ": 0.7})  # disjoint supports
+    same = H(4, {"XXII": 0.5, "ZIYI": -0.2, "IIIX": 0.3})
+    yield same, same  # identical
+    yield SparseHamiltonian(2), H(2, {"XY": 0.6, "ZZ": -0.4})  # empty Hamiltonian
+    yield H(1, {"X": 0.8}), H(1, {"Z": -0.5})  # anticommuting pair
+    yield H(3, {"XXI": 0.6, "IXX": -0.3}), H(3, {"XIX": 0.9, "XXX": 0.2})  # X-type, commuting
+    yield H(2, {"ZZ": 0.8, "IZ": -0.3}), H(2, {"ZI": 0.6, "ZZ": 0.2})  # Z-type, commuting
+    for _ in range(194):
+        n = int(rng.integers(1, 7))
+        s = int(rng.integers(1, min(8, 4**n - 1) + 1))
+        h1 = random_bounded_instance(n, s, rng, op_cap=2.0)
+        if rng.random() < 0.3:  # a close pair, like learned against true
+            yield h1, h1.add_term(next(iter(h1.terms)), float(rng.normal(0, 0.01)))
+        else:
+            yield h1, random_bounded_instance(n, s, rng, op_cap=2.0)
+
+
+def test_compressed_objectives_match_dense_expm():
+    # On grid=2 without refinement each distance evaluates only 0 and the
+    # budget, where both objectives vanish at 0 and are non-negative.
+    rng = np.random.default_rng(90)
+    for h1, h2 in _pair_cases(rng):
+        m1, m2 = (kron_hamiltonian({p.label: c for p, c in h.terms.items()} or {"I" * h.n: 0.0})
+                  for h in (h1, h2))
+        for t, beta in ((0.3, 0.5), (1.7, 2.0), (4.0, 6.0)):
+            dt, db, gibbs = _expm_objectives(m1, m2, t, beta)
+            assert abs(d_T(h1, h2, T=t, grid=2, refine=False).value - dt) <= 1e-10
+            assert abs(d_B(h1, h2, B=beta, grid=2, refine=False).value - db) <= 1e-10
+        assert abs(gibbs_trace_bound_check(h1, h2)[0] - gibbs) <= 1e-10
+
+
 # -- serialization -------------------------------------------------------------------
 
 
