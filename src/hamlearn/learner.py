@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,19 +133,69 @@ def learn_support(
     Bell-samples the outcome; identity outcomes are discarded. The returned
     set has at most T elements and contains every term with
     |h_P| >= eps with probability >= 1 - delta.
+
+    On a PCG64 generator all T isolations and times come from one draw of
+    raw words before the first query (:func:`_support_draws`), decoded
+    exactly as per-round ``rng.integers`` and ``rng.uniform`` calls would
+    consume the stream. The strings, the times and the generator's final
+    state are therefore those of drawing round by round; each round's r
+    strings are built only when that round runs.
     """
-    n = oracle.n
     r = isolation_rounds(params.s_bound)
-    t_hi = 1.0 / params.eps
-    t_lo = math.pi / 4.0
     found: set[PauliString] = set()
-    for _ in range(support_rounds(params)):
-        qs = pl.random_uniforms(n, r, rng)
-        t = rng.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo
+    for qs, t in _support_draws(
+        oracle.n, r, support_rounds(params), math.pi / 4.0, 1.0 / params.eps, rng
+    ):
         outcome = oracle.sample_restricted(qs, t)
         if not outcome.is_identity:
             found.add(outcome)
     return found
+
+
+def _support_draws(
+    n: int, r: int, rounds: int, t_lo: float, t_hi: float, rng: np.random.Generator
+) -> Iterator[tuple[list[PauliString], float]]:
+    """Each round's r uniform strings and its time in [t_lo, t_hi].
+
+    Yields what ``pl.random_uniforms(n, r, rng)`` followed by
+    ``rng.uniform(t_lo, t_hi)`` gives each round (the time is t_lo, with no
+    draw, when the window is degenerate), and leaves ``rng`` in the same
+    state. On a PCG64 generator with no buffered 32-bit half, one
+    ``random_raw`` call draws r n words per round, plus one for the time,
+    and they are decoded as numpy does: ``integers(0, 2)`` takes one
+    32-bit half per bit, low half first, and Lemire's method with range 1
+    never rejects, so each bit is the top bit of its half; ``uniform`` is
+    ``t_lo + (t_hi - t_lo) * ((word >> 11) * 2^-53)``. Any other generator
+    is drawn round by round with those two calls.
+    """
+    draw_time = t_hi > t_lo
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
+        for _ in range(rounds):
+            qs = pl.random_uniforms(n, r, rng)
+            yield qs, rng.uniform(t_lo, t_hi) if draw_time else t_lo
+        return
+
+    raw = bg.random_raw(rounds * (r * n + draw_time)).reshape(rounds, -1)
+    # Bytes 3 and 7 of a little-endian word are the top bytes of its low
+    # and high 32-bit halves, so every 4th byte from byte 3 holds one bit.
+    top_bytes = raw.astype("<u8", copy=False).view(np.uint8)[:, 3 : 8 * r * n : 4]
+    masks = pl._pack_bits((top_bytes >> 7).reshape(rounds, r, 2, n))
+    if draw_time:
+        unit = (raw[:, -1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        times = (t_lo + (t_hi - t_lo) * unit).tolist()
+    else:
+        times = [t_lo] * rounds
+    # The per-round calls leave the last high half in the (unused) 32-bit
+    # buffer; keep it there so the state matches field for field.
+    state = bg.state
+    state["uinteger"] = int(raw[-1, r * n - 1] >> np.uint64(32))
+    bg.state = state
+    # Only the packed masks stay alive while the rounds run.
+    del raw, top_bytes
+
+    for round_masks, t in zip(masks, times):
+        yield [pl._unchecked(n, x, z) for x, z in round_masks.tolist()], t
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
     _check_same_n(p, q)
     x = p.x_bits ^ q.x_bits
     z = p.z_bits ^ q.z_bits
-    r = PauliString(p.n, x, z)
+    r = _unchecked(p.n, x, z)
     # Hermitizing phases i^{|x&z|} of each factor, the (-1)^{z_p.x_q} from
     # commuting Z^{z_p} past X^{x_q}, minus the result's own phase.
     k = (
@@ -194,23 +194,55 @@ def dense(p: PauliString) -> np.ndarray:
     return m
 
 
+def _unchecked(n: int, x_bits: int, z_bits: int) -> PauliString:
+    """A string from masks already known to fit in n bits, not validated.
+
+    For hot internal paths only: the XOR of two valid masks, or a mask
+    packed from n bits. Public construction keeps validating.
+    """
+    p = object.__new__(PauliString)
+    fields = p.__dict__
+    fields["n"] = n
+    fields["x_bits"] = x_bits
+    fields["z_bits"] = z_bits
+    return p
+
+
+# 2^63, ..., 2, 1: the place values of the bits of a 64-bit mask.
+_PLACE_VALUES = 1 << np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """The last axis of a 0/1 array read as binary numbers, first bit highest.
+
+    Up to 64 bits, a dot against powers of two in the narrowest unsigned
+    dtype that holds the result, so packing copies little; beyond, an
+    object array of Python ints from ``np.packbits``. ``tolist()`` gives
+    Python ints either way.
+    """
+    n = bits.shape[-1]
+    if n <= 64:
+        dtype = np.min_scalar_type((1 << n) - 1)
+        return bits.astype(dtype, copy=False) @ _PLACE_VALUES[64 - n :].astype(dtype)
+    packed = np.packbits(bits, axis=-1)
+    pad = 8 * packed.shape[-1] - n
+    ints = np.empty(packed.shape[:-1], dtype=object)
+    rows = packed.reshape(-1, packed.shape[-1])
+    ints.flat = [int.from_bytes(row.tobytes(), "big") >> pad for row in rows]
+    return ints
+
+
 def random_uniforms(n: int, count: int, rng: np.random.Generator) -> list[PauliString]:
     """``count`` independent uniform samples over all 4^n strings, from one draw.
 
-    Row k of one ``(count, 2n)`` bit array gives string k, so the result
-    equals ``count`` consecutive :func:`random_uniform` calls on the same
-    generator.
+    Row k of one ``(count, 2n)`` bit array gives string k (x bits, then z
+    bits), so the result equals ``count`` consecutive :func:`random_uniform`
+    calls on the same generator.
     """
     if n < 1:
         raise ValueError("qubit count must be positive")
-    out = []
-    for row in rng.integers(0, 2, size=(count, 2 * n)).tolist():
-        x = z = 0
-        for xb, zb in zip(row[:n], row[n:]):
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-        out.append(PauliString(n, x, z))
-    return out
+    bits = rng.integers(0, 2, size=(count, 2, n))
+    return [_unchecked(n, x, z) for x, z in _pack_bits(bits).tolist()]
 
 
 def random_uniform(n: int, rng: np.random.Generator) -> PauliString:
@@ -254,7 +286,7 @@ def _key(p: PauliString) -> int:
 
 def _xor(p: PauliString, q: PauliString) -> PauliString:
     """The string whose bit vector is the sum of those of ``p`` and ``q``."""
-    return PauliString(p.n, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
+    return _unchecked(p.n, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
 
 
 def _reduced_echelon(vectors: Iterable[int]) -> list[int]:

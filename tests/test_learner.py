@@ -9,6 +9,7 @@ import pytest
 from hamlearn.hamiltonian import SparseHamiltonian, linf_distance, random_instance
 from hamlearn.learner import (
     LearnerParams,
+    _support_draws,
     learn_coeff,
     learn_hamiltonian,
     learn_hamiltonian_opnorm,
@@ -250,6 +251,76 @@ def test_support_learning_ledger_contract():
     assert len(found) <= support_rounds(params)
     assert oracle.ledger.experiments == support_rounds(params)
     assert not any(p.is_identity for p in found)
+
+
+def test_learn_support_seeded_output_is_pinned():
+    # Pins the support stage's own stream, so a change to how its rounds
+    # are drawn fails here and not only in the CLI's golden output.
+    inst, orc, lrn = split_rngs(2024, 3)
+    h = random_instance(8, 8, inst)
+    oracle = EvolutionOracle(h, OracleConfig(), rng=orc)
+    found = learn_support(oracle, LearnerParams(s_bound=8, eps=0.05, delta=0.1), lrn)
+    assert sorted(p.label for p in found) == [
+        "IXYZZZZZ", "IYZZIIZZ", "IZYYXZIZ", "XIYYIZZX", "XXIXZIIY", "XXXZYYYI",
+        "XXYXXXXY", "XYIYYZZZ", "YIZIZIIX", "YXXZIZZY", "YXXZXIIZ", "YYYZXXYY",
+        "ZIIIZYYZ", "ZXXXYXXZ", "ZXZXIIIZ", "ZZXXZZZI", "ZZYYYXYI",
+    ]  # fmt: skip
+    assert oracle.ledger.experiments == 2244
+    assert oracle.ledger.queries == 97255488
+    assert oracle.ledger.total_evolution_time.hex() == "0x1.6e50c07741813p+14"
+
+
+# -- support-round draws -------------------------------------------------------------
+
+
+def _per_round(n, r, t_lo, t_hi, rng):
+    """One support round drawn with the calls the batched draw must reproduce."""
+    rows = rng.integers(0, 2, size=(r, 2 * n)).tolist()
+    qs = [
+        PauliString(n, int("".join(map(str, row[:n])), 2), int("".join(map(str, row[n:])), 2))
+        for row in rows
+    ]
+    return qs, (rng.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo)
+
+
+def _assert_draws_match(n, r, t_lo, t_hi, batched, single, rounds=30):
+    got = list(_support_draws(n, r, rounds, t_lo, t_hi, batched))
+    want = [_per_round(n, r, t_lo, t_hi, single) for _ in range(rounds)]
+    assert [qs for qs, _ in got] == [qs for qs, _ in want]
+    assert all(type(t) is float for _, t in got)
+    times_got = np.array([t for _, t in got], dtype=np.float64).view(np.uint64)
+    times_want = np.array([t for _, t in want], dtype=np.float64).view(np.uint64)
+    assert times_got.tolist() == times_want.tolist()
+    np.testing.assert_equal(batched.bit_generator.state, single.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 40, 64, 70])
+def test_support_draws_match_per_round_calls(n):
+    for r in range(1, 8):
+        seed = 100 * n + r
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        _assert_draws_match(n, r, math.pi / 4, 20.0, batched, single)
+
+
+@pytest.mark.parametrize("n", [1, 8, 70])
+def test_support_draws_degenerate_window_draws_no_time(n):
+    batched, single = np.random.default_rng(n), np.random.default_rng(n)
+    _assert_draws_match(n, 3, math.pi / 4, 0.5, batched, single)
+    assert all(t == math.pi / 4 for _, t in _support_draws(n, 3, 5, math.pi / 4, 0.5, batched))
+
+
+def test_support_draws_fall_back_to_per_round_calls():
+    # A generator other than PCG64 ...
+    for n in (1, 8, 70):
+        batched = np.random.Generator(np.random.MT19937(n))
+        single = np.random.Generator(np.random.MT19937(n))
+        _assert_draws_match(n, 4, math.pi / 4, 20.0, batched, single)
+    # ... and a PCG64 generator holding a buffered 32-bit half.
+    batched, single = np.random.default_rng(5), np.random.default_rng(5)
+    for rng in (batched, single):
+        rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    _assert_draws_match(8, 4, math.pi / 4, 20.0, batched, single)
 
 
 # -- composed learner ---------------------------------------------------------------
