@@ -168,13 +168,7 @@ class SparseHamiltonian:
 
     def dense_matrix(self) -> np.ndarray:
         """Hermitian matrix ``sum_P h_P dense(P)``."""
-        pl.check_dense(self.n)
-        dim = 1 << self.n
-        m = np.zeros((dim, dim), dtype=complex)
-        for p, c in self._terms.items():
-            rows, cols, values = pl.nonzeros(p)
-            m[rows, cols] += c * values
-        return m
+        return pl.dense_sum(self.n, self._terms)
 
     def compressed(self) -> tuple["SparseHamiltonian", pl.SymplecticBasis]:
         """This Hamiltonian on a + b <= n qubits; the one-Hamiltonian case of :func:`compress`."""

@@ -10,18 +10,22 @@ merit tracked throughout: experiments, total evolution time, query count,
 minimum time resolution and ancilla qubits.
 
 Every query is simulated by ``EvolutionOracle._simulate``, the one place
-that picks a representation. In ``trotter`` mode a restricted evolution is
-the symmetric product over the ``2^r`` conjugated summands, actually
-multiplied out, which meets the configured diamond-norm budget. In
-``exact`` mode it is the closed-form Pauli expansion when the restricted
-terms commute pairwise. Otherwise the restricted Hamiltonian is carried by
-symplectic Gram-Schmidt onto a + b <= n qubits (a anticommuting pairs, b
-central strings; :meth:`SparseHamiltonian.compressed`), exponentiated
-densely there and its Pauli amplitudes mapped back, so the cost does not
-grow with n and exact sampling has no qubit cap. The ledger still records
-the query count and time resolution that the second-order product formula
-would need (Trotterization preserves total evolution time, so that counter
-is charged the plain ``t``).
+that picks a representation, and every sampling or estimation query is
+served as one dict of nonzero Pauli amplitudes. Symplectic Gram-Schmidt
+carries the strings involved onto a + b <= n qubits (a anticommuting
+pairs, b central strings; :func:`pauli.symplectic_basis`); the evolution
+is computed densely on that image and its Pauli amplitudes are lifted
+back, so the cost does not grow with n. In ``trotter`` mode a restricted
+evolution is the symmetric product over the ``2^r`` conjugated summands,
+actually multiplied out on the image of the terms and the drift string,
+which meets the configured diamond-norm budget. In ``exact`` mode it is
+the closed-form Pauli expansion when the restricted terms commute
+pairwise, else the exponential of the restricted Hamiltonian's image
+(:meth:`SparseHamiltonian.compressed`). The ledger still records the query
+count and time resolution that the second-order product formula would
+need (Trotterization preserves total evolution time, so that counter is
+charged the plain ``t``). Only ``evolve``, ``evolve_restricted`` and
+``pauli_sample`` handle dense n-qubit unitaries.
 
 The product formula takes ``l = ceil(sqrt((R c t)^3 / eps))`` steps for R
 summands of norm at most c (:func:`trotter_steps`); its step constant is
@@ -35,9 +39,10 @@ bounds of Childs et al., "Theory of Trotter error with commutator scaling"
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,8 +115,8 @@ class OracleConfig:
     formulas; their step count :func:`trotter_steps` has constant 1.
     ``query_budget``, if set, caps the queries of one restricted-evolution
     charge. Dense n-qubit unitaries (``evolve``, ``evolve_restricted``,
-    ``pauli_sample``) and trotter mode are capped at ``pauli.DENSE_LIMIT``
-    qubits; exact sampling and estimation are not.
+    ``pauli_sample``) are capped at ``pauli.DENSE_LIMIT`` qubits; sampling
+    and estimation, in either mode, only need the image they run on to fit.
     The RNG is passed to :class:`EvolutionOracle`, not configured here.
     The learner's Taylor remainder constant is fixed at C = 1, so a stage
     of accuracy eps evolves for t = 1/(800 eps).
@@ -178,15 +183,6 @@ def pauli_transform(u: np.ndarray) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def pauli_coefficient(u: np.ndarray, p: PauliString) -> complex:
-    """Single Pauli coefficient ``Tr[P u] / 2^n`` in O(2^n)."""
-    dim = u.shape[0]
-    if dim != 1 << p.n:
-        raise ValueError("matrix dimension does not match Pauli qubit count")
-    rows, cols, values = pl.nonzeros(p)
-    return complex(np.sum(values * u[cols, rows]) / dim)
-
-
 def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     """``e^{-itH}`` from the eigendecomposition ``H = evecs diag(evals) evecs^dag``."""
     return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
@@ -228,7 +224,6 @@ class EvolutionOracle:
         self.config = config or OracleConfig()
         self.ledger = ResourceLedger()
         self.rng = np.random.default_rng(rng)
-        self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._op_norm_cache: float | None = None
 
     @property
@@ -236,11 +231,6 @@ class EvolutionOracle:
         return self.hamiltonian.n
 
     # -- internals ------------------------------------------------------
-
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig_cache is None:
-            self._eig_cache = eigh(self.hamiltonian.dense_matrix())
-        return self._eig_cache
 
     def _op_norm(self) -> float:
         if self._op_norm_cache is None:
@@ -284,27 +274,26 @@ class EvolutionOracle:
     ) -> np.ndarray | dict[PauliString, complex]:
         """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
 
-        Checks the query and charges nothing. Returns the executed product
-        formula in trotter mode with ``qs``, and the dense exponential when
-        ``dense``; both are capped at ``pauli.DENSE_LIMIT`` qubits. Otherwise
-        returns the dict of nonzero Pauli amplitudes: in closed form when the
+        Checks the query and charges nothing. Returns the dict of nonzero
+        Pauli amplitudes: of the executed product formula in trotter mode
+        with ``qs`` (:meth:`_execute_trotter`), else in closed form when the
         restricted terms commute pairwise, else from the compressed
-        Hamiltonian (:func:`_compressed_amplitudes`).
+        Hamiltonian (:func:`_compressed_amplitudes`). With ``dense`` it
+        returns the dense n-qubit unitary instead, capped at
+        ``pauli.DENSE_LIMIT`` qubits.
         """
         if t < 0:
             raise ValueError("negative evolution time")
         if drift is not None and abs(drift[1]) > 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
         if self.config.mode == "trotter" and qs:
-            pl.check_dense(self.n)
-            return self._execute_trotter(qs, t, drift)
+            amplitudes = self._execute_trotter(qs, t, drift)
+            return pl.dense_sum(self.n, amplitudes) if dense else amplitudes
         h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
         if drift is not None:
             h = h.add_term(*drift)
         if dense:
-            pl.check_dense(self.n)
-            eig = self._eigensystem() if h is self.hamiltonian else eigh(h.dense_matrix())
-            return _evolution(*eig, t)
+            return _evolution(*eigh(h.dense_matrix()), t)
         amplitudes = self._structured_amplitudes(list(h.terms.items()), t)
         return amplitudes if amplitudes is not None else _compressed_amplitudes(h, t)
 
@@ -322,85 +311,84 @@ class EvolutionOracle:
     ) -> np.ndarray:
         """Return ``e^{-it(H_{Q_1..Q_r} + d P_0)}`` and charge the ledger.
 
-        In exact mode the restricted Hamiltonian is exponentiated directly;
+        In exact mode the restricted Hamiltonian is exponentiated densely;
         in trotter mode the symmetric product over all ``2^r`` conjugated
-        summands is executed and is within the configured diamond budget of
-        the exact evolution. Drift pulses are known unitaries and charge
-        nothing.
+        summands, executed on the compressed image, is within the configured
+        diamond budget of the exact evolution. Capped at ``pauli.DENSE_LIMIT``
+        qubits. Drift pulses are known unitaries and charge nothing.
         """
         qs = list(qs)
         u = self._simulate(qs, t, drift, dense=True)
         self._charge_restricted(len(qs), t)
         return u
 
-    def _execute_trotter(self, qs, t, drift) -> np.ndarray:
+    def _execute_trotter(self, qs, t, drift) -> dict[PauliString, complex]:
         """Multiply out the second-order product formula for H_{Q_1..Q_r}.
 
         The summands are H_S = C_S H C_S / 2^r over subsets S of the
         conjugation strings (C_S the product of the selected Q_i), each
         implemented as one query to the true evolution at time t/(2^{r+1}l).
+        C_S H C_S is H with the terms anticommuting with C_S negated, so every
+        factor, and the drift pulse e^{-i theta P_0}, lies in the algebra of
+        the span of the terms and P_0. The product runs on that span's
+        a + b qubit image; its amplitudes are lifted back in index order.
         """
         r = len(qs)
         R = 1 << r
         l = trotter_steps(R, self._op_norm() / R, t, self.config.trotter_epsilon)
         tau = t / (R * 2 * l)
-        base = _evolution(*self._eigensystem(), tau)
-
+        terms = self.hamiltonian.terms
+        basis = pl.symplectic_basis(self.n, [*terms, drift[0]] if drift else terms)
+        m = basis.qubits
+        # Bit i of a term's mask is set when it anticommutes with Q_i; the
+        # symplectic product is bilinear, so C_S flips it iff |mask & S| is odd.
+        encoded = [
+            (*basis.encode(p), c, sum(pl.symplectic_product(p, q) << i for i, q in enumerate(qs)))
+            for p, c in terms.items()
+        ]
         factors = []
-        for mask in range(R):
-            prod = PauliString.identity(self.n)
-            for i in range(r):
-                if mask >> i & 1:
-                    prod, _ = pl.multiply(qs[i], prod)
-            d = pl.dense(prod)
-            factors.append(d @ base @ d.conj().T)
+        for subset in range(R):
+            image = {q: (-1) ** (a & subset).bit_count() * sign * c for q, sign, c, a in encoded}
+            factors.append(_evolution(*eigh(pl.dense_sum(m, image)), tau))
         if drift is not None:
-            p0, dcoef = drift
-            theta = dcoef * t / (2 * l)
-            eye = np.eye(1 << self.n, dtype=complex)
+            q0, sign0 = basis.encode(drift[0])
+            theta = drift[1] * t / (2 * l)
             factors.append(
-                math.cos(theta) * eye - 1j * math.sin(theta) * pl.dense(p0)
+                math.cos(theta) * np.eye(1 << m) - 1j * math.sin(theta) * sign0 * pl.dense(q0)
             )
 
         # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
-        inner_up = np.eye(1 << self.n, dtype=complex)
+        inner_up = np.eye(1 << m, dtype=complex)
         for f in factors:
             inner_up = f @ inner_up
-        inner_down = np.eye(1 << self.n, dtype=complex)
+        inner_down = np.eye(1 << m, dtype=complex)
         for f in reversed(factors):
             inner_down = f @ inner_down
-        return np.linalg.matrix_power(inner_up @ inner_down, l)
+        return basis.lift(pauli_transform(np.linalg.matrix_power(inner_up @ inner_down, l)))
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------
 
-    def _measure(self, u: np.ndarray | dict[PauliString, complex]) -> PauliString:
+    def _measure(self, probs: np.ndarray, outcome: Callable[[int], PauliString]) -> PauliString:
         """Bell-basis sample of a simulated evolution; charges one experiment.
 
-        ``u`` is a dense unitary or a dict of its nonzero Pauli amplitudes;
-        outcomes are drawn in index order or in the dict's order.
+        ``probs`` are the squared Pauli amplitudes and ``outcome`` maps an
+        index of ``probs`` to its string; outcomes are drawn in that order.
         """
         self.ledger.charge_experiment(1, ancilla=self.n)
         lam = self.config.spam_lambda
         if lam > 0.0 and self.rng.random() < lam:
             return pl.random_uniform(self.n, self.rng)
-        if isinstance(u, dict):
-            outcomes = list(u)
-            probs = np.array([abs(amp) ** 2 for amp in u.values()])
-        else:
-            outcomes = None
-            probs = np.abs(pauli_transform(u)) ** 2
         total = probs.sum() if probs.size > 1 else probs[0]
         if not abs(total - 1.0) <= 1e-8:
             raise ValueError("Pauli coefficients of input violate Parseval identity")
         # The inverse-CDF draw Generator.choice(p=probs / total) makes, from
         # the same single uniform, so seeded outcomes match it bit for bit.
         x = self.rng.random()
-        if probs.size == 1:  # only an amplitude dict has a lone outcome
-            return outcomes[0]
+        if probs.size == 1:
+            return outcome(0)
         cdf = np.cumsum(probs / total)
         cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(x, side="right"))
-        return outcomes[idx] if outcomes else PauliString.from_index(self.n, idx)
+        return outcome(int(cdf.searchsorted(x, side="right")))
 
     def pauli_sample(self, u: np.ndarray) -> PauliString:
         """Sample P with probability ``(1-lam)|u_P|^2 + lam 4^{-n}``.
@@ -415,7 +403,10 @@ class EvolutionOracle:
             raise ValueError("unitary has wrong dimension for this oracle")
         if _unitarity_defect(u) > _UNITARITY_TOL:
             raise ValueError("input matrix is not unitary within tolerance")
-        return self._measure(u)
+        # from_index builds only the drawn string, never all 4^n of them.
+        return self._measure(
+            np.abs(pauli_transform(u)) ** 2, functools.partial(PauliString.from_index, self.n)
+        )
 
     def sample_restricted(
         self,
@@ -426,15 +417,16 @@ class EvolutionOracle:
         """One full experiment: restricted evolution then Pauli sampling.
 
         Ledger charges equal ``evolve_restricted`` plus ``pauli_sample``, and
-        nothing is charged for a rejected query. ``_simulate`` picks the
-        representation: the executed product formula (trotter mode), the
-        closed-form amplitudes of a commuting restriction, which avoid dense
-        work, or the dense exponential; the outcome distribution is the same.
+        nothing is charged for a rejected query. ``_simulate`` returns the
+        nonzero Pauli amplitudes (of the executed product formula in trotter
+        mode, in closed form for a commuting restriction, else from the
+        compressed exponential), and the outcome is drawn from them in the
+        dict's order; no dense n-qubit matrix is built.
         """
         qs = list(qs)
         u = self._simulate(qs, t, drift)
         self._charge_restricted(len(qs), t)
-        return self._measure(u)
+        return self._measure(np.array([abs(amp) ** 2 for amp in u.values()]), list(u).__getitem__)
 
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float
@@ -485,7 +477,7 @@ class EvolutionOracle:
             raise ValueError("shots must be >= 1")
         qs = list(qs)
         u = self._simulate(qs, t, drift)
-        amp = u.get(p0, 0.0) if isinstance(u, dict) else pauli_coefficient(u, p0)
+        amp = u.get(p0, 0.0)
         self._charge_restricted(len(qs), t, executions=shots)
         self.ledger.charge_experiment(shots, ancilla=self.n)
 

@@ -21,7 +21,7 @@ they generate onto as few qubits as it needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -185,13 +185,19 @@ def nonzeros(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols ^ p.x_bits, cols, phase * signs
 
 
+def dense_sum(n: int, coeffs: Mapping[PauliString, complex]) -> np.ndarray:
+    """Dense 2^n x 2^n complex matrix of ``sum_P c_P dense(P)``."""
+    check_dense(n)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    for p, c in coeffs.items():
+        rows, cols, values = nonzeros(p)
+        m[rows, cols] += c * values
+    return m
+
+
 def dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the Hermitian Pauli string."""
-    check_dense(p.n)
-    rows, cols, values = nonzeros(p)
-    m = np.zeros((cols.size, cols.size), dtype=complex)
-    m[rows, cols] = values
-    return m
+    return dense_sum(p.n, {p: 1})
 
 
 def _unchecked(n: int, x_bits: int, z_bits: int) -> PauliString:

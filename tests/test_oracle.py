@@ -21,7 +21,6 @@ from hamlearn.oracle import (
     EvolutionOracle,
     OracleConfig,
     ResourceLedger,
-    pauli_coefficient,
     pauli_transform,
     trotter_steps,
 )
@@ -282,6 +281,78 @@ def test_trotter_budget_met_beyond_unit_time():
                 assert 2.0 * half_diamond_unitary(exact, trot) <= epsilon
 
 
+def _kron_trotter(h, qs, t, drift, epsilon):
+    """Independent build of the executed product formula.
+
+    Kron-built C_S H C_S and scipy expm per factor, expm(-i theta P_0) for
+    the drift, one block F_R ... F_1 F_1 ... F_R raised to the l-th power.
+    """
+    dense_h = kron_hamiltonian({p.label: c for p, c in h})
+    R = 1 << len(qs)
+    l = trotter_steps(R, h.op_norm() / R, t, epsilon)
+    factors = []
+    for subset in range(R):
+        c = np.eye(2**h.n, dtype=complex)
+        for i, q in enumerate(qs):
+            if subset >> i & 1:
+                c = kron_pauli(q.label) @ c
+        factors.append(expm(-1j * t / (2 * R * l) * (c @ dense_h @ c.conj().T)))
+    if drift is not None:
+        factors.append(expm(-1j * drift[1] * t / (2 * l) * kron_pauli(drift[0].label)))
+    block = np.eye(2**h.n, dtype=complex)
+    for f in reversed(factors):
+        block = f @ block
+    for f in factors:
+        block = f @ block
+    return np.linalg.matrix_power(block, l)
+
+
+def test_trotter_amplitudes_match_independent_product():
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            for with_drift in (False, True):
+                h = random_instance(n, int(rng.integers(1, min(6, 4**n - 1) + 1)), rng)
+                qs = [pl.random_uniform(n, rng) for _ in range(r)]
+                drift = None
+                if with_drift:
+                    drift = (pl.random_uniform(n, rng), float(rng.uniform(-1, 1)))
+                t = float(rng.uniform(0.2, 2.0))
+                oracle = make_oracle(h, mode="trotter", trotter_epsilon=0.01)
+                amps = oracle._simulate(qs, t, drift)
+                indices = [p.index for p in amps]
+                assert indices == sorted(indices)
+                expected = pauli_transform(_kron_trotter(h, qs, t, drift, 0.01))
+                assert np.abs(_amplitude_vector(amps, n) - expected).max() <= 1e-10
+
+
+def test_trotter_sampling_beyond_dense_cap():
+    # The Hamiltonian of test_exact_sampling_beyond_dense_cap: 40 qubits,
+    # a 3-qubit image. Restricting by Z on qubit 0 keeps Z_0 and the ZZ term.
+    h = H(40, {"X" + "I" * 39: 0.5, "Z" + "I" * 39: -0.3, "Y" + "I" * 38 + "Z": 0.2,
+               "I" * 20 + "ZZ" + "I" * 18: 0.7})
+    qs, p0, t = [P("Z" + "I" * 39)], P("Z" + "I" * 39), 0.8
+    oracle = make_oracle(h, seed=3, mode="trotter", trotter_epsilon=1e-4)
+    amps = oracle._simulate(qs, t, (p0, 0.25))
+    assert abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) < 1e-12
+    assert all(p.n == 40 for p in amps)
+    exact = make_oracle(h)._simulate(qs, t, (p0, 0.25))
+    assert max(abs(amps.get(p, 0.0) - exact.get(p, 0.0)) for p in {*amps, *exact}) < 1e-4
+    assert oracle.sample_restricted(qs, t, drift=(p0, 0.25)).n == 40
+    estimates = [
+        make_oracle(h, seed=5, mode=mode, trotter_epsilon=1e-4).estimate_pauli_coeff_magnitude(
+            qs, None, p0, t, shots=200_000
+        )
+        for mode in ("trotter", "exact")
+    ]
+    assert abs(estimates[0] - estimates[1]) < 0.01
+    assert abs(estimates[1] - abs(math.sin(0.3 * t) * math.cos(0.7 * t))) < 0.01
+    charged = oracle.ledger.to_json_dict()
+    with pytest.raises(CapacityError):
+        oracle.evolve_restricted(qs, t)
+    assert oracle.ledger.to_json_dict() == charged
+
+
 # -- Pauli transform -----------------------------------------------------------
 
 
@@ -303,15 +374,6 @@ def test_pauli_transform_recovers_basis_vectors():
         expected = np.zeros(16)
         expected[idx] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-12)
-
-
-def test_pauli_coefficient_single_entry():
-    rng = np.random.default_rng(10)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    coeffs = pauli_transform(m)
-    for idx in (0, 5, 17, 63):
-        p = PauliString.from_index(3, idx)
-        assert np.isclose(pauli_coefficient(m, p), coeffs[idx], atol=1e-12)
 
 
 def test_parseval_for_unitaries():

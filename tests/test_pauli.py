@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import kron_pauli
+from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
 from hamlearn.errors import CapacityError, DimensionMismatchError
+from hamlearn.hamiltonian import random_instance
 from hamlearn.pauli import PauliString
 
 
@@ -148,7 +149,15 @@ def test_dense_properties(n):
         assert np.allclose(m @ m, np.eye(2**n))  # involution / unitary
         if not p.is_identity:
             assert abs(np.trace(m)) < 1e-12
-        assert np.allclose(m, kron_pauli(p.label))
+        assert np.array_equal(m, kron_pauli(p.label))
+    # The one dense builder behind dense and dense_matrix: a complex sum with
+    # the identity, and a Hamiltonian summed in the kron build's term order.
+    coeffs = {PauliString.identity(n): complex(*rng.normal(size=2))}
+    coeffs.update({pl.random_uniform(n, rng): complex(*rng.normal(size=2)) for _ in range(6)})
+    expected = sum(c * kron_pauli(q.label) for q, c in coeffs.items())
+    assert np.array_equal(pl.dense_sum(n, coeffs), expected)
+    h = random_instance(n, min(5, 4**n - 1), rng)
+    assert np.array_equal(h.dense_matrix(), kron_hamiltonian({q.label: c for q, c in h}))
 
 
 def test_dense_capacity_error():
