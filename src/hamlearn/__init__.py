@@ -15,7 +15,7 @@ from .distances import (
     eigenphase_lower_bound,
     half_diamond_unitary,
 )
-from .errors import BudgetError, CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError
 from .hamiltonian import SparseHamiltonian, SpectralData, random_instance
 from .isolation import IsolationDraw, draw_isolation, draw_isolation_for_target, vv_statistics
 from .learner import (
@@ -32,7 +32,6 @@ from .oracle import EvolutionOracle, OracleConfig, ResourceLedger
 from .pauli import PauliString
 
 __all__ = [
-    "BudgetError",
     "CapacityError",
     "DimensionMismatchError",
     "DistanceResult",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -13,7 +14,15 @@ from .learner import LearnerParams, LearnResult, learn_hamiltonian
 from .oracle import EvolutionOracle, OracleConfig
 
 
-@dataclass(frozen=True)
+def csv_row(*values) -> str:
+    """One CSV line: booleans as 1/0, floats as ``.12g``, anything else by ``str``."""
+    return ",".join(
+        str(int(v)) if isinstance(v, bool) else f"{v:.12g}" if isinstance(v, float) else str(v)
+        for v in values
+    )
+
+
+@dataclasses.dataclass(frozen=True)
 class TrialRecord:
     """One learning run: instance parameters, errors, full ledger."""
 
@@ -30,32 +39,15 @@ class TrialRecord:
     min_resolution: float
     ancilla: int
 
-    CSV_FIELDS = (
-        "s",
-        "eps",
-        "seed",
-        "success",
-        "linf_error",
-        "l1_error",
-        "op_error",
-        "experiments",
-        "total_time",
-        "queries",
-        "min_resolution",
-        "ancilla",
-    )
+    # Every field, in declaration order; set below the class.
+    CSV_FIELDS: ClassVar[tuple[str, ...]]
 
-    def csv_row(self) -> str:
-        vals = [getattr(self, f) for f in self.CSV_FIELDS]
-        out = []
-        for v in vals:
-            if isinstance(v, bool):
-                out.append("1" if v else "0")
-            elif isinstance(v, float):
-                out.append(f"{v:.12g}")
-            else:
-                out.append(str(v))
-        return ",".join(out)
+    def csv_row(self, fields: Sequence[str] | None = None) -> str:
+        """The given fields (default all of them) as one :func:`csv_row` line."""
+        return csv_row(*(getattr(self, f) for f in fields or self.CSV_FIELDS))
+
+
+TrialRecord.CSV_FIELDS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 # Shot multiplier c1 of every benchmark trial; LearnerParams defaults to 32,
@@ -158,29 +150,28 @@ def sweep(
     ]
 
 
+def _means_by(rows: list[TrialRecord], key: str, value: str) -> tuple[list, list[float]]:
+    """Sorted distinct values of field ``key`` and the mean of ``value`` at each."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(getattr(row, key), []).append(getattr(row, value))
+    keys = sorted(groups)
+    return keys, [float(np.mean(groups[k])) for k in keys]
+
+
 def experiments_slope(rows: list[TrialRecord]) -> float:
     """Log-log slope of mean experiments against s ln s."""
-    by_s: dict[int, list[int]] = {}
-    for row in rows:
-        by_s.setdefault(row.s, []).append(row.experiments)
-    ss = sorted(by_s)
+    ss, ys = _means_by(rows, "s", "experiments")
     if len(ss) < 2:
         raise ValueError("need at least two sparsity values")
     if ss[0] < 2:
         raise ValueError(f"s ln s vanishes at s = {ss[0]}; every s must be at least 2")
-    xs = [s * math.log(s) for s in ss]
-    ys = [float(np.mean(by_s[s])) for s in ss]
-    return loglog_slope(xs, ys)
+    return loglog_slope([s * math.log(s) for s in ss], ys)
 
 
 def evolution_time_slope(rows: list[TrialRecord]) -> float:
     """Log-log slope of mean total evolution time against 1/eps."""
-    by_eps: dict[float, list[float]] = {}
-    for row in rows:
-        by_eps.setdefault(row.eps, []).append(row.total_time)
-    es = sorted(by_eps)
+    es, ys = _means_by(rows, "eps", "total_time")
     if len(es) < 2:
         raise ValueError("need at least two accuracy values")
-    xs = [1.0 / e for e in es]
-    ys = [float(np.mean(by_eps[e])) for e in es]
-    return loglog_slope(xs, ys)
+    return loglog_slope([1.0 / e for e in es], ys)

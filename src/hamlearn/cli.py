@@ -1,8 +1,8 @@
 """Command-line front end: gen, learn, distance, bounds-sweep, vv-stats, bench.
 
 Every run is fully determined by its flags and seed; re-running reproduces
-byte-identical output. Exit codes: 0 success, 2 usage error, 3 capacity or
-budget error.
+byte-identical output. Exit codes: 0 success, 2 usage error, 3 capacity
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import distances as dist_mod
-from .errors import BudgetError, CapacityError
+from .errors import CapacityError
 from .hamiltonian import SparseHamiltonian, random_instance
 from .isolation import vv_statistics
 from .learner import LearnerParams, learn_hamiltonian
@@ -89,11 +89,9 @@ def _cmd_learn(args) -> int:
         _write(args.ledger_out, json.dumps(result.ledger.to_json_dict(), indent=2) + "\n")
 
     rec = bench_mod.trial_record(h, result, s=h.sparsity, eps=args.eps, seed=args.seed)
-    print("seed,success,linf_error,op_error,experiments,total_time,queries,min_resolution")
-    print(
-        f"{rec.seed},{1 if rec.success else 0},{rec.linf_error:.12g},{rec.op_error:.12g},"
-        f"{rec.experiments},{rec.total_time:.12g},{rec.queries},{rec.min_resolution:.12g}"
-    )
+    header = "seed,success,linf_error,op_error,experiments,total_time,queries,min_resolution"
+    print(header)
+    print(rec.csv_row(header.split(",")))
     return 0
 
 
@@ -136,7 +134,7 @@ def _cmd_bounds_sweep(args) -> int:
             ("gibbs_new", lhs_g, rhs_new),
             ("gibbs_old", rhs_new, rhs_old),
         ):
-            lines.append(f"{trial},{check},{lhs:.12g},{rhs:.12g},{rhs - lhs:.12g}")
+            lines.append(bench_mod.csv_row(trial, check, lhs, rhs, rhs - lhs))
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -147,9 +145,7 @@ def _cmd_vv_stats(args) -> int:
     for size in _int_list(args.set_size):
         for r in _int_list(args.r):
             st = vv_statistics(size, r, args.trials, rng, m=args.m)
-            lines.append(
-                f"{size},{r},{st.mean:.12g},{st.variance:.12g},{st.p_empty:.12g},{st.trials}"
-            )
+            lines.append(bench_mod.csv_row(size, r, st.mean, st.variance, st.p_empty, st.trials))
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -279,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapacityError, BudgetError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SystemExit:

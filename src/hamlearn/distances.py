@@ -23,12 +23,12 @@ in a suitable basis every element of the algebra is its m-qubit image
 tensored with the identity on 2^{n-m} dimensions. Hence the eigenphases of
 e^{itH1} e^{-itH2}, a product inside the algebra, are as a set those of
 the images, each with its multiplicity times 2^{n-m}, and the arc spread
-d_T reads off is unchanged. A normalized Gibbs state is
+d_T reads off is unchanged. A Gibbs state is
 rho = e^{-beta H}/Tr e^{-beta H} = rho_m (x) I/2^{n-m}, so
 ||rho1 - rho2||_1 = ||rho1_m - rho2_m||_1 ||I/2^{n-m}||_1 is the image's
 value too. Work and memory depend on m only; ``pauli.DENSE_LIMIT`` caps m,
-not n. Spectral spreads, and hence the Lipschitz slopes below, do not
-depend on multiplicity.
+not n. Spectral spreads and norms, and hence the Lipschitz slopes below,
+do not depend on multiplicity, so they are read off the images too.
 
 Suprema are found by Piyavskii-Shubert branch-and-bound on [0, budget]
 (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9(3), 1972): only
@@ -54,10 +54,9 @@ import numpy as np
 
 from . import pauli as pl
 from .errors import DimensionMismatchError
-from .hamiltonian import SparseHamiltonian, compress, eigh, op_distance
+from .hamiltonian import _UNITARITY_TOL, SparseHamiltonian, _unitarity_defect, compress, eigh
 from .pauli import PauliString
 
-_UNITARITY_TOL = 1e-10
 DEFAULT_GRID = 2048
 
 
@@ -123,12 +122,6 @@ def minmax_closed(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    gram = u.conj().T @ u
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.abs(gram).max())
-
-
 def _arc_half_diamond(phases: np.ndarray) -> float:
     """Half diamond distance to the identity from eigenphases on the circle."""
     if phases.size == 1:
@@ -181,8 +174,8 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _check_budget(budget: float, grid: int) -> None:
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
     if grid < 2:
         raise ValueError("grid must have at least two points")
 
@@ -227,21 +220,6 @@ def _supremum(
     return DistanceResult(value, argmax, max(0.0, upper - value), kind)
 
 
-def _joint_images(h1: SparseHamiltonian, h2: SparseHamiltonian):
-    """Dense matrices of both Hamiltonians on their joint (a+b)-qubit image.
-
-    The flag is true when the span has no anticommuting pair (a = 0): every
-    image string is then Z-type, so both matrices are diagonal.
-    """
-    (g1, g2), basis = compress(h1, h2)
-    return g1.dense_matrix(), g2.dense_matrix(), not basis.pairs
-
-
-def _eigensystems(h1: SparseHamiltonian, h2: SparseHamiltonian):
-    m1, m2, _ = _joint_images(h1, h2)
-    return (*eigh(m1), *eigh(m2))
-
-
 def d_T(
     h1: SparseHamiltonian,
     h2: SparseHamiltonian,
@@ -257,7 +235,9 @@ def d_T(
     e^{i t L1} M e^{-i t L2} M^dagger with M the fixed eigenbasis overlap.
     """
     _check_budget(T, grid)
-    w1, a, w2, b = _eigensystems(h1, h2)
+    (g1, g2), _ = compress(h1, h2)
+    w1, a = eigh(g1.dense_matrix())
+    w2, b = eigh(g2.dense_matrix())
     m = a.conj().T @ b
     m_dag = m.conj().T
 
@@ -265,7 +245,7 @@ def d_T(
         x = (np.exp(1j * t * w1)[:, None] * m * np.exp(-1j * t * w2)[None, :]) @ m_dag
         return _arc_half_diamond(np.angle(np.linalg.eigvals(x)))
 
-    return _supremum(f, T, grid, refine, op_distance(h1, h2), "time_constrained")
+    return _supremum(f, T, grid, refine, (g1 - g2).op_norm(), "time_constrained")
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +284,11 @@ def d_B(
     diagonalization is skipped.
     """
     _check_budget(B, grid)
-    m1, m2, diagonal = _joint_images(h1, h2)
+    (g1, g2), basis = compress(h1, h2)
+    m1, m2 = g1.dense_matrix(), g2.dense_matrix()
 
-    if diagonal:
+    # With no anticommuting pair every image string is Z-type.
+    if not basis.pairs:
         w1 = np.real(np.diag(m1))
         w2 = np.real(np.diag(m2))
 
@@ -333,8 +315,9 @@ def gibbs_trace_bound_check(
     the new bound is ||H1 - H2||_op itself, the older one the exponential
     2 (e^{||H1 - H2||_op} - 1).
     """
-    lhs = _gibbs_trace_gap(*_eigensystems(h1, h2), -1.0)
-    gap = (h1 - h2).op_norm()
+    (g1, g2), _ = compress(h1, h2)
+    lhs = _gibbs_trace_gap(*eigh(g1.dense_matrix()), *eigh(g2.dense_matrix()), -1.0)
+    gap = (g1 - g2).op_norm()
     return lhs, gap, 2.0 * (math.exp(gap) - 1.0)
 
 

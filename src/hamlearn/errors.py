@@ -7,7 +7,3 @@ class DimensionMismatchError(ValueError):
 
 class CapacityError(RuntimeError):
     """A dense operation was requested above the configured qubit limit."""
-
-
-class BudgetError(RuntimeError):
-    """A simulated protocol exceeded a configured resource budget."""

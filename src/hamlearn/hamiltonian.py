@@ -42,18 +42,11 @@ class SparseHamiltonian:
     terms : mapping PauliString -> float
         Pauli coefficients. Identity keys are rejected; entries with
         ``|coeff| < ZERO_TOLERANCE`` are dropped.
-    normalized : bool
-        When set, enforce the learning promise ``|h_P| <= 1`` per term.
     """
 
     __slots__ = ("n", "_terms")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Mapping[PauliString, float] | None = None,
-        normalized: bool = False,
-    ):
+    def __init__(self, n: int, terms: Mapping[PauliString, float] | None = None):
         if n < 1:
             raise ValueError("qubit count must be positive")
         clean: dict[PauliString, float] = {}
@@ -65,8 +58,6 @@ class SparseHamiltonian:
             c = float(c)
             if abs(c) < ZERO_TOLERANCE:
                 continue
-            if normalized and abs(c) > 1.0 + 1e-12:
-                raise ValueError(f"coefficient {c} violates the normalized promise |h_P| <= 1")
             clean[p] = c
         object.__setattr__(self, "n", n)
         # Deterministic term order for iteration and serialization.
@@ -170,11 +161,6 @@ class SparseHamiltonian:
         """Hermitian matrix ``sum_P h_P dense(P)``."""
         return pl.dense_sum(self.n, self._terms)
 
-    def compressed(self) -> tuple["SparseHamiltonian", pl.SymplecticBasis]:
-        """This Hamiltonian on a + b <= n qubits; the one-Hamiltonian case of :func:`compress`."""
-        (image,), basis = compress(self)
-        return image, basis
-
     def norms(self) -> tuple[float, float, float, float]:
         """Return ``(l1, l2, linf, op)`` norms of the coefficient vector.
 
@@ -187,14 +173,15 @@ class SparseHamiltonian:
         return l1, l2, linf, self.op_norm()
 
     def op_norm(self) -> float:
-        """Largest |eigenvalue|, from the spectrum of :meth:`compressed`.
+        """Largest |eigenvalue|, from the spectrum of the image under :func:`compress`.
 
         The spectrum as a set is the same in every faithful representation,
         so only multiplicities differ from the n-qubit matrix.
         """
         if not self._terms:
             return 0.0
-        evals = np.linalg.eigvalsh(self.compressed()[0].dense_matrix())
+        (image,), _ = compress(self)
+        evals = np.linalg.eigvalsh(image.dense_matrix())
         return float(np.abs(evals).max())
 
     def spectral_data(self) -> SpectralData:
@@ -246,7 +233,7 @@ def random_instance(
     Supports are ``s`` distinct non-identity Pauli strings drawn uniformly
     without replacement; coefficient magnitudes are uniform in
     ``[coeff_floor, coeff_range]`` with fair random signs, so instances stay
-    inside the normalized promise ``|h_P| <= coeff_range`` while keeping
+    inside the learning promise ``|h_P| <= coeff_range`` while keeping
     every term detectable above the floor.
     """
     if not 1 <= s <= 4**n - 1:
@@ -310,6 +297,16 @@ def l1_distance(h1: SparseHamiltonian, h2: SparseHamiltonian) -> float:
 
 def op_distance(h1: SparseHamiltonian, h2: SparseHamiltonian) -> float:
     return (h1 - h2).op_norm()
+
+
+# Largest entry of |U^dagger U - I| accepted as unitary.
+_UNITARITY_TOL = 1e-10
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    gram = u.conj().T @ u
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -63,12 +63,12 @@ class LearnerParams:
     def __post_init__(self):
         if self.s_bound < 1:
             raise ValueError("sparsity bound must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.support_rounds_c0 < 1.0 or self.shots_c1 < 1.0:
-            raise ValueError("constant multipliers must be >= 1")
+        if not (1.0 <= self.support_rounds_c0 < math.inf and 1.0 <= self.shots_c1 < math.inf):
+            raise ValueError("constant multipliers must be finite and >= 1")
 
 
 @dataclass
@@ -177,10 +177,10 @@ def _support_draws(
         return
 
     raw = bg.random_raw(rounds * (r * n + draw_time)).reshape(rounds, -1)
-    # Bytes 3 and 7 of a little-endian word are the top bytes of its low
-    # and high 32-bit halves, so every 4th byte from byte 3 holds one bit.
-    top_bytes = raw.astype("<u8", copy=False).view(np.uint8)[:, 3 : 8 * r * n : 4]
-    masks = pl._pack_bits((top_bytes >> 7).reshape(rounds, r, 2, n))
+    # A little-endian word read as two 32-bit halves gives low half first;
+    # each bit is the top bit of its half, one byte per bit until packed.
+    halves = raw[:, : r * n].astype("<u8", copy=False).view("<u4")
+    masks = pl._pack_bits((halves >= 1 << 31).view(np.uint8).reshape(rounds, r, 2, n))
     if draw_time:
         unit = (raw[:, -1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         times = (t_lo + (t_hi - t_lo) * unit).tolist()
@@ -192,7 +192,7 @@ def _support_draws(
     state["uinteger"] = int(raw[-1, r * n - 1] >> np.uint64(32))
     bg.state = state
     # Only the packed masks stay alive while the rounds run.
-    del raw, top_bytes
+    del raw, halves
 
     for round_masks, t in zip(masks, times):
         yield [pl._unchecked(n, x, z) for x, z in round_masks.tolist()], t

@@ -21,7 +21,7 @@ actually multiplied out on the image of the terms and the drift string,
 which meets the configured diamond-norm budget. In ``exact`` mode it is
 the closed-form Pauli expansion when the restricted terms commute
 pairwise, else the exponential of the restricted Hamiltonian's image
-(:meth:`SparseHamiltonian.compressed`). The ledger still records the query
+(:func:`hamiltonian.compress`). The ledger still records the query
 count and time resolution that the second-order product formula would
 need (Trotterization preserves total evolution time, so that counter is
 charged the plain ``t``). Only ``evolve``, ``evolve_restricted`` and
@@ -47,9 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pauli as pl
-from .distances import _UNITARITY_TOL, _unitarity_defect
-from .errors import BudgetError
-from .hamiltonian import SparseHamiltonian, eigh
+from .errors import DimensionMismatchError
+from .hamiltonian import _UNITARITY_TOL, SparseHamiltonian, _unitarity_defect, compress, eigh
 from .pauli import PauliString
 
 # Restricted term sets up to this size with pairwise-commuting members are
@@ -113,8 +112,7 @@ class OracleConfig:
     state-preparation and measurement error of the same diamond-norm size.
     ``trotter_epsilon`` is the diamond-norm budget granted to product
     formulas; their step count :func:`trotter_steps` has constant 1.
-    ``query_budget``, if set, caps the queries of one restricted-evolution
-    charge. Dense n-qubit unitaries (``evolve``, ``evolve_restricted``,
+    Dense n-qubit unitaries (``evolve``, ``evolve_restricted``,
     ``pauli_sample``) are capped at ``pauli.DENSE_LIMIT`` qubits; sampling
     and estimation, in either mode, only need the image they run on to fit.
     The RNG is passed to :class:`EvolutionOracle`, not configured here.
@@ -125,15 +123,14 @@ class OracleConfig:
     mode: str = "exact"
     spam_lambda: float = 0.0
     trotter_epsilon: float = 0.01
-    query_budget: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "trotter"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
         if not 0.0 <= self.spam_lambda < 1.0:
             raise ValueError("spam_lambda must lie in [0, 1)")
-        if self.trotter_epsilon <= 0:
-            raise ValueError("trotter_epsilon must be positive")
+        if not 0 < self.trotter_epsilon < math.inf:
+            raise ValueError("trotter_epsilon must be positive and finite")
 
 
 def trotter_steps(R: int, c: float, t: float, epsilon: float) -> int:
@@ -191,12 +188,12 @@ def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
 def _compressed_amplitudes(h: SparseHamiltonian, t: float) -> dict[PauliString, complex]:
     """Nonzero Pauli amplitudes of ``e^{-itH}`` in ``PauliString.index`` order.
 
-    Exponentiates the (a+b)-qubit image of :meth:`SparseHamiltonian.compressed`
+    Exponentiates the (a+b)-qubit image of :func:`hamiltonian.compress`
     densely and lifts its Pauli coefficients back to n qubits. Outcomes
     come in the order a dense n-qubit transform lists them, so seeded draws
     match the dense path up to rounding.
     """
-    small, basis = h.compressed()
+    (small,), basis = compress(h)
     u = _evolution(*eigh(small.dense_matrix()), t)
     return basis.lift(pauli_transform(u))
 
@@ -237,32 +234,32 @@ class EvolutionOracle:
             self._op_norm_cache = self.hamiltonian.op_norm()
         return self._op_norm_cache
 
+    def _trotter_schedule(self, r: int, t: float) -> tuple[int, int]:
+        """``(R, l)`` of an r-string restriction at time ``t``.
+
+        R = 2^r summands of norm ``||H|| / R``, and the product formula's
+        step count ``l = trotter_steps(R, ||H|| / R, t, trotter_epsilon)``.
+        """
+        R = 1 << r
+        return R, trotter_steps(R, self._op_norm() / R, t, self.config.trotter_epsilon)
+
     def _charge_restricted(self, r: int, t: float, executions: int = 1) -> None:
         """Ledger charges of `executions` runs of a restricted evolution.
 
         With ``r == 0`` each run is one query of duration ``t``. Otherwise,
-        with ``l = trotter_steps(2^r, ||H|| / 2^r, t, trotter_epsilon)``,
-        each run charges evolution time ``t`` (Trotterization preserves
-        total time), ``2^r l`` queries and time resolution
-        ``t / (2^{r+1} l)``, in exact and trotter mode alike. The executed
-        product (:meth:`_execute_trotter`) applies ``2 * 2^r l`` queries of
-        that duration, summing to ``t``; the charged queries sum to ``t/2``.
+        with ``(R, l)`` from :meth:`_trotter_schedule`, each run charges
+        evolution time ``t`` (Trotterization preserves total time), ``R l``
+        queries and time resolution ``t / (2 R l)``, in exact and trotter
+        mode alike. The executed product (:meth:`_execute_trotter`) applies
+        ``2 R l`` queries of that duration, summing to ``t``; the charged
+        queries sum to ``t/2``.
         """
         if r == 0:
             self.ledger.charge_evolution(executions * t, queries=executions, resolution=t)
             return
-        R = 1 << r
-        l = trotter_steps(R, self._op_norm() / R, t, self.config.trotter_epsilon)
-        queries = R * l
-        if self.config.query_budget is not None and executions * queries > self.config.query_budget:
-            raise BudgetError(
-                f"{executions} restricted evolution(s) need {executions * queries} queries"
-                f" > budget {self.config.query_budget}"
-            )
+        R, l = self._trotter_schedule(r, t)
         self.ledger.charge_evolution(
-            executions * t,
-            queries=executions * queries,
-            resolution=t / (2 * l) / R,
+            executions * t, queries=executions * R * l, resolution=t / (2 * l) / R
         )
 
     def _simulate(
@@ -333,9 +330,7 @@ class EvolutionOracle:
         the span of the terms and P_0. The product runs on that span's
         a + b qubit image; its amplitudes are lifted back in index order.
         """
-        r = len(qs)
-        R = 1 << r
-        l = trotter_steps(R, self._op_norm() / R, t, self.config.trotter_epsilon)
+        R, l = self._trotter_schedule(len(qs), t)
         tau = t / (R * 2 * l)
         terms = self.hamiltonian.terms
         basis = pl.symplectic_basis(self.n, [*terms, drift[0]] if drift else terms)
@@ -475,6 +470,8 @@ class EvolutionOracle:
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
+        if p0.n != self.n:
+            raise DimensionMismatchError(f"target {p0} acts on {p0.n} qubits, expected {self.n}")
         qs = list(qs)
         u = self._simulate(qs, t, drift)
         amp = u.get(p0, 0.0)

@@ -112,11 +112,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return (self.x_bits | self.z_bits).bit_count()
-
     def sort_key(self) -> tuple[int, int]:
         return (self.x_bits, self.z_bits)
 
@@ -140,10 +135,6 @@ def symplectic_product(p: PauliString, q: PauliString) -> int:
     """
     _check_same_n(p, q)
     return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) & 1
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return symplectic_product(p, q) == 0
 
 
 def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:

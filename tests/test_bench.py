@@ -1,11 +1,13 @@
 """Benchmark sweeps: determinism, row order, slope fits."""
 
 import dataclasses
+import math
 
 import pytest
 
 from hamlearn.bench import (
     TrialRecord,
+    csv_row,
     evolution_time_slope,
     experiments_slope,
     run_learning_trial,
@@ -17,6 +19,7 @@ def test_trial_record_csv_shape():
     row = run_learning_trial(n=4, s=2, eps=0.1, delta=0.2, seed=3)
     text = row.csv_row()
     assert len(text.split(",")) == len(TrialRecord.CSV_FIELDS)
+    assert csv_row(True, 3, 0.1, "x", math.inf) == "1,3,0.1,x,inf"
     assert row.ancilla == 4
     assert row.experiments > 0
 

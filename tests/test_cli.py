@@ -74,6 +74,10 @@ def test_learn_usage_error():
     assert proc.returncode == 2
     proc = run_cli("learn", "--hamiltonian", "x.json", "--random", "2,1,0")
     assert proc.returncode == 2
+    for bad in ("nan", "inf"):
+        proc = run_cli("learn", "--random", "2,1,0", "--eps", bad)
+        assert proc.returncode == 2
+        assert "eps must be positive and finite" in proc.stderr
 
 
 def test_distance_command(tmp_path):

@@ -242,8 +242,11 @@ def test_distance_result_invariants(rng):
 
 def test_dt_validation():
     h = H(1, {"Z": 0.5})
-    with pytest.raises(ValueError):
-        d_T(h, h, T=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            d_T(h, h, T=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            d_B(h, h, B=bad)
     with pytest.raises(DimensionMismatchError):
         d_T(h, H(2, {"ZZ": 0.5}), T=1.0)
 

@@ -10,6 +10,7 @@ from hamlearn import pauli as pl
 from hamlearn.errors import CapacityError, DimensionMismatchError
 from hamlearn.hamiltonian import (
     SparseHamiltonian,
+    compress,
     l1_distance,
     linf_distance,
     random_instance,
@@ -45,13 +46,6 @@ def test_immutable():
     h = H(1, {"X": 0.5})
     with pytest.raises(AttributeError):
         h.n = 3
-
-
-def test_normalized_flag_enforces_unit_promise():
-    SparseHamiltonian(1, {P("X"): 1.0}, normalized=True)
-    with pytest.raises(ValueError):
-        SparseHamiltonian(1, {P("X"): 1.5}, normalized=True)
-    SparseHamiltonian(1, {P("X"): 1.5})  # unflagged instances are unconstrained
 
 
 # -- effective support ---------------------------------------------------------
@@ -206,17 +200,21 @@ def test_compressed_op_norm_matches_dense_spectrum():
         h1, h2 = random_instance(n, s, rng), random_instance(n, s, rng)
         commuting = _commuting_instance(n, min(s, 2**n - 1), rng)
         for h in (h1, h1 - h2, commuting):
-            small = h.compressed()[0]
+            small = compress(h)[0][0]
             assert small.n <= n
             assert small.sparsity == h.sparsity
             dense = np.abs(np.linalg.eigvalsh(kron_hamiltonian(_labels(h)))).max()
             assert abs(h.op_norm() - dense) < 1e-12
+        # ||H1 - H2|| read off the difference of the joint images.
+        (g1, g2), _ = compress(h1, h2)
+        gap = np.abs(np.linalg.eigvalsh(kron_hamiltonian(_labels(h1 - h2)))).max()
+        assert abs((g1 - g2).op_norm() - gap) < 1e-12
 
 
 def test_op_norm_beyond_dense_cap():
     # Two anticommuting pairs on disjoint qubits of a 40-qubit register.
     h = H(40, {"X" + "I" * 39: 0.3, "Z" + "I" * 39: 0.4, "I" * 38 + "YY": 0.6, "I" * 39 + "X": 0.8})
-    assert h.compressed()[0].n == 2
+    assert compress(h)[0][0].n == 2
     assert h.op_norm() == pytest.approx(0.5 + 1.0, abs=1e-12)
     with pytest.raises(CapacityError):
         h.dense_matrix()

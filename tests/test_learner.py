@@ -49,6 +49,9 @@ def test_params_validation():
         LearnerParams(s_bound=1, eps=0.1, delta=1.5)
     with pytest.raises(ValueError):
         LearnerParams(s_bound=1, eps=0.1, delta=0.1, shots_c1=0.5)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LearnerParams(s_bound=1, eps=bad, delta=0.1)
 
 
 def test_stage_arithmetic():

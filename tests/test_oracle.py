@@ -15,8 +15,8 @@ import hamlearn.oracle as oracle_mod
 from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
-from hamlearn.errors import BudgetError, CapacityError
-from hamlearn.hamiltonian import SparseHamiltonian, random_instance
+from hamlearn.errors import CapacityError, DimensionMismatchError
+from hamlearn.hamiltonian import SparseHamiltonian, compress, random_instance
 from hamlearn.oracle import (
     EvolutionOracle,
     OracleConfig,
@@ -75,8 +75,9 @@ def test_config_validation():
         OracleConfig(mode="approx")
     with pytest.raises(ValueError):
         OracleConfig(spam_lambda=1.0)
-    with pytest.raises(ValueError):
-        OracleConfig(trotter_epsilon=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OracleConfig(trotter_epsilon=bad)
 
 
 def test_trotter_plan_arithmetic():
@@ -212,22 +213,6 @@ def test_restricted_ledger_accounting():
     # Total time adds up across calls regardless of the Trotter overhead.
     oracle.evolve_restricted(qs, 0.5)
     assert oracle.ledger.total_evolution_time == pytest.approx(2.0)
-
-
-def test_restricted_query_budget():
-    h = H(2, {"XX": 0.5, "ZI": 0.3})
-    oracle = make_oracle(h, query_budget=3)
-    with pytest.raises(BudgetError):
-        oracle.evolve_restricted([P("XI"), P("IZ"), P("YY")], 1.0)
-
-
-def test_estimate_shot_count_budget():
-    h = H(2, {"XX": 0.5, "ZI": 0.3})
-    oracle = make_oracle(h, query_budget=10_000)
-    qs = [P("XI")]
-    oracle.estimate_pauli_coeff_magnitude(qs, None, P("XX"), 1.0, shots=10)
-    with pytest.raises(BudgetError):
-        oracle.estimate_pauli_coeff_magnitude(qs, None, P("XX"), 1.0, shots=10_000)
 
 
 def test_trotter_mode_matches_exact_within_budget():
@@ -498,7 +483,7 @@ def test_compressed_amplitudes_match_dense_expm():
         else:
             h = random_instance(n, s, rng)
         t = float(rng.uniform(0.0, 4.0))
-        assert h.compressed()[0].n <= n
+        assert compress(h)[0][0].n <= n
         amps = oracle_mod._compressed_amplitudes(h, t)
         indices = [p.index for p in amps]
         assert indices == sorted(indices)
@@ -512,7 +497,7 @@ def test_exact_sampling_beyond_dense_cap():
     # register: one pair and two central strings (Z on qubit 39, ZZ).
     h = H(40, {"X" + "I" * 39: 0.5, "Z" + "I" * 39: -0.3, "Y" + "I" * 38 + "Z": 0.2,
                "I" * 20 + "ZZ" + "I" * 18: 0.7})
-    assert h.compressed()[0].n == 3
+    assert compress(h)[0][0].n == 3
     oracle = make_oracle(h, seed=3)
     amps = oracle._simulate([], 0.8, None)
     assert abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) < 1e-12
@@ -536,6 +521,12 @@ def test_rejected_sample_restricted_charges_nothing():
     with pytest.raises(ValueError, match="drift"):
         oracle.estimate_pauli_coeff_magnitude(qs, drift, P("XX"), 1.0, shots=10)
     assert oracle.ledger == ResourceLedger()
+    # A target on the wrong number of qubits, in either mode.
+    for mode in ("exact", "trotter"):
+        oracle = make_oracle(h, mode=mode)
+        with pytest.raises(DimensionMismatchError):
+            oracle.estimate_pauli_coeff_magnitude(qs, None, P("XXX"), 1.0, shots=10)
+        assert oracle.ledger == ResourceLedger()
 
 
 # Restrictions by XX keep the commuting pair {XX, ZZ} (closed form); XI and
