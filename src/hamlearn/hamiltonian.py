@@ -10,6 +10,7 @@ neither time evolutions nor thermal states), and coefficients below
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -40,8 +41,8 @@ class SparseHamiltonian:
     n : int
         Qubit count.
     terms : mapping PauliString -> float
-        Pauli coefficients. Identity keys are rejected; entries with
-        ``|coeff| < ZERO_TOLERANCE`` are dropped.
+        Pauli coefficients. Identity keys and non-finite coefficients are
+        rejected; entries with ``|coeff| < ZERO_TOLERANCE`` are dropped.
     """
 
     __slots__ = ("n", "_terms")
@@ -56,6 +57,8 @@ class SparseHamiltonian:
             if p.is_identity:
                 raise ValueError("identity term not allowed (traceless convention)")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of term {p} is not finite: {c}")
             if abs(c) < ZERO_TOLERANCE:
                 continue
             clean[p] = c
@@ -238,8 +241,8 @@ def random_instance(
     """
     if not 1 <= s <= 4**n - 1:
         raise ValueError(f"sparsity must be in [1, 4^n - 1], got {s}")
-    if not 0 < coeff_floor <= coeff_range:
-        raise ValueError("need 0 < coeff_floor <= coeff_range")
+    if not 0 < coeff_floor <= coeff_range < math.inf:
+        raise ValueError("need 0 < coeff_floor <= coeff_range, both finite")
     chosen: set[PauliString] = set()
     while len(chosen) < s:
         p = pl.random_uniform(n, rng)

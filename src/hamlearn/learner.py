@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from . import pauli as pl
 from .hamiltonian import SparseHamiltonian
 from .isolation import draw_isolation_for_target, isolation_rounds
 from .oracle import EvolutionOracle, ResourceLedger
@@ -134,53 +133,52 @@ def learn_support(
     set has at most T elements and contains every term with
     |h_P| >= eps with probability >= 1 - delta.
 
-    On a PCG64 generator all T isolations and times come from one draw of
-    raw words before the first query (:func:`_support_draws`), decoded
-    exactly as per-round ``rng.integers`` and ``rng.uniform`` calls would
-    consume the stream. The strings, the times and the generator's final
-    state are therefore those of drawing round by round; each round's r
-    strings are built only when that round runs.
+    All T isolations and times are drawn before the first query
+    (:func:`_support_draws`), as per-round ``rng.integers`` and
+    ``rng.uniform`` calls would draw them, and the whole stage is one
+    :meth:`EvolutionOracle.sample_support_stage` call. That call settles
+    the rounds in which no term survives without simulating them, with the
+    outcomes, ledger charges and oracle draws of one ``sample_restricted``
+    call per round.
     """
-    r = isolation_rounds(params.s_bound)
-    found: set[PauliString] = set()
-    for qs, t in _support_draws(
-        oracle.n, r, support_rounds(params), math.pi / 4.0, 1.0 / params.eps, rng
-    ):
-        outcome = oracle.sample_restricted(qs, t)
-        if not outcome.is_identity:
-            found.add(outcome)
-    return found
+    r, rounds = isolation_rounds(params.s_bound), support_rounds(params)
+    bits, times = _support_draws(oracle.n, r, rounds, math.pi / 4.0, 1.0 / params.eps, rng)
+    return {p for p in oracle.sample_support_stage(bits, times) if not p.is_identity}
 
 
 def _support_draws(
     n: int, r: int, rounds: int, t_lo: float, t_hi: float, rng: np.random.Generator
-) -> Iterator[tuple[list[PauliString], float]]:
-    """Each round's r uniform strings and its time in [t_lo, t_hi].
+) -> tuple[np.ndarray, list[float]]:
+    """Every round's r uniform strings as bits, and its time in [t_lo, t_hi].
 
-    Yields what ``pl.random_uniforms(n, r, rng)`` followed by
-    ``rng.uniform(t_lo, t_hi)`` gives each round (the time is t_lo, with no
-    draw, when the window is degenerate), and leaves ``rng`` in the same
-    state. On a PCG64 generator with no buffered 32-bit half, one
-    ``random_raw`` call draws r n words per round, plus one for the time,
-    and they are decoded as numpy does: ``integers(0, 2)`` takes one
-    32-bit half per bit, low half first, and Lemire's method with range 1
-    never rejects, so each bit is the top bit of its half; ``uniform`` is
+    Returns ``(bits, times)``: ``bits[k]`` is the (r, 2, n) 0/1 ``uint8``
+    array that ``pauli.random_uniforms(n, r, rng)`` decodes round k's strings
+    from (X bits, then Z bits, qubit 0 first), and ``times[k]`` what the
+    following ``rng.uniform(t_lo, t_hi)`` gives (t_lo, with no draw, when
+    the window is degenerate); ``rng`` is left in the same state as those
+    per-round calls leave it. On a PCG64 generator with no buffered 32-bit
+    half, one ``random_raw`` call draws r n words per round, plus one for
+    the time, and they are decoded as numpy does: ``integers(0, 2)`` takes
+    one 32-bit half per bit, low half first, and Lemire's method with range
+    1 never rejects, so each bit is the top bit of its half; ``uniform`` is
     ``t_lo + (t_hi - t_lo) * ((word >> 11) * 2^-53)``. Any other generator
     is drawn round by round with those two calls.
     """
     draw_time = t_hi > t_lo
     bg = rng.bit_generator
     if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
-        for _ in range(rounds):
-            qs = pl.random_uniforms(n, r, rng)
-            yield qs, rng.uniform(t_lo, t_hi) if draw_time else t_lo
-        return
+        bits = np.empty((rounds, r, 2, n), dtype=np.uint8)
+        times = []
+        for k in range(rounds):
+            bits[k] = rng.integers(0, 2, size=(r, 2, n))
+            times.append(rng.uniform(t_lo, t_hi) if draw_time else t_lo)
+        return bits, times
 
     raw = bg.random_raw(rounds * (r * n + draw_time)).reshape(rounds, -1)
     # A little-endian word read as two 32-bit halves gives low half first;
-    # each bit is the top bit of its half, one byte per bit until packed.
+    # each bit is the top bit of its half, one byte per bit.
     halves = raw[:, : r * n].astype("<u8", copy=False).view("<u4")
-    masks = pl._pack_bits((halves >= 1 << 31).view(np.uint8).reshape(rounds, r, 2, n))
+    bits = (halves >= 1 << 31).view(np.uint8).reshape(rounds, r, 2, n)
     if draw_time:
         unit = (raw[:, -1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         times = (t_lo + (t_hi - t_lo) * unit).tolist()
@@ -191,11 +189,7 @@ def _support_draws(
     state = bg.state
     state["uinteger"] = int(raw[-1, r * n - 1] >> np.uint64(32))
     bg.state = state
-    # Only the packed masks stay alive while the rounds run.
-    del raw, halves
-
-    for round_masks, t in zip(masks, times):
-        yield [pl._unchecked(n, x, z) for x, z in round_masks.tolist()], t
+    return bits, times
 
 
 # ---------------------------------------------------------------------------

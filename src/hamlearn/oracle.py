@@ -27,6 +27,11 @@ need (Trotterization preserves total evolution time, so that counter is
 charged the plain ``t``). Only ``evolve``, ``evolve_restricted`` and
 ``pauli_sample`` handle dense n-qubit unitaries.
 
+A support stage is served by one ``sample_support_stage`` call. In exact
+mode without SPAM, a round in which no term survives the restriction
+evolves by the identity, so it is charged and settled (outcome I) without
+simulation; the other rounds are ordinary ``sample_restricted`` queries.
+
 The product formula takes ``l = ceil(sqrt((R c t)^3 / eps))`` steps for R
 summands of norm at most c (:func:`trotter_steps`); its step constant is
 fixed at 1. A doubling search for a larger constant returned 1 for every
@@ -137,8 +142,15 @@ def trotter_steps(R: int, c: float, t: float, epsilon: float) -> int:
     """Step count ``l = ceil(sqrt((R c t)^3 / epsilon))`` of the product formula.
 
     R summands of norm <= c; the step constant is 1 (see the module docstring).
+    Raises ValueError when the count is not finite, or ``(R c t)^3`` overflows.
     """
-    return max(1, math.ceil(math.sqrt((R * c * t) ** 3 / epsilon)))
+    try:
+        steps = math.sqrt((R * c * t) ** 3 / epsilon)
+    except OverflowError:
+        steps = math.inf
+    if not math.isfinite(steps):
+        raise ValueError(f"Trotter step count is not finite for R={R}, c={c}, t={t}")
+    return max(1, math.ceil(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +434,65 @@ class EvolutionOracle:
         u = self._simulate(qs, t, drift)
         self._charge_restricted(len(qs), t)
         return self._measure(np.array([abs(amp) ** 2 for amp in u.values()]), list(u).__getitem__)
+
+    def sample_support_stage(self, bits: np.ndarray, times: Sequence[float]) -> list[PauliString]:
+        """One :meth:`sample_restricted` experiment per round of a support stage.
+
+        ``bits`` is the (T, r, 2, n) 0/1 ``uint8`` array of each round's r
+        conjugation strings (X bits, then Z bits, qubit 0 first); round k
+        evolves for ``times[k]``. Returns the T outcomes, ledger charges and
+        RNG draws of ``sample_restricted`` on the rounds in turn; a rejected
+        stage charges nothing.
+
+        A term survives a round iff it commutes with all r strings (the rule
+        of :meth:`SparseHamiltonian.restrict`), decided for all rounds by one
+        integer product. A round with no survivor evolves by the identity:
+        it is charged as ``sample_restricted`` would charge it and consumes
+        its one uniform, and its outcome is I, with no string built and
+        nothing simulated. With SPAM, whose draws interleave with the
+        uniforms, and in trotter mode, where the product of an empty
+        restriction is not exactly I, every round is a ``sample_restricted``.
+        """
+        bits = np.asarray(bits)
+        rounds = len(times)
+        if bits.ndim != 4 or bits.shape[0] != rounds or bits.shape[2:] != (2, self.n):
+            raise DimensionMismatchError(
+                f"support bits of shape {bits.shape} are not {rounds} rounds of (r, 2, {self.n})"
+            )
+        if bits.dtype != np.uint8 or bits.max(initial=0) > 1:
+            raise ValueError("support bits must be a 0/1 uint8 array")
+        if not all(0.0 <= t < math.inf for t in times):
+            raise ValueError("evolution times must be finite and non-negative")
+        r = bits.shape[1]
+
+        if self.config.spam_lambda > 0.0 or self.config.mode == "trotter":
+            busy = np.ones(rounds, dtype=bool)
+        else:
+            terms = list(self.hamiltonian.terms)
+            # Column j holds term j's Z bits, then its X bits, so a string's
+            # (X, Z) row times it counts x_Q.z_P + z_Q.x_P; uint8 wraps
+            # mod 256, which keeps the parity.
+            shifts = range(self.n - 1, -1, -1)
+            swapped = np.array(
+                [[(m >> i) & 1 for m in (p.z_bits, p.x_bits) for i in shifts] for p in terms],
+                dtype=np.uint8,
+            ).reshape(len(terms), 2 * self.n)
+            odd = (bits.reshape(rounds * r, 2 * self.n) @ swapped.T) & 1
+            busy = (~odd.reshape(rounds, r, len(terms)).any(axis=1)).any(axis=1)
+
+        masks = iter(pl._pack_bits(bits[busy]).tolist())
+        identity = PauliString.identity(self.n)
+        outcomes = []
+        for t, has_survivor in zip(times, busy.tolist()):
+            if has_survivor:
+                qs = [pl._unchecked(self.n, x, z) for x, z in next(masks)]
+                outcomes.append(self.sample_restricted(qs, t))
+            else:
+                self._charge_restricted(r, t)
+                self.ledger.charge_experiment(1, ancilla=self.n)
+                self.rng.random()
+                outcomes.append(identity)
+        return outcomes
 
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float

@@ -69,7 +69,7 @@ def test_learn_deterministic_replay(tmp_path):
     assert first.stdout == second.stdout
 
 
-def test_learn_usage_error():
+def test_learn_usage_error(tmp_path):
     proc = run_cli("learn")
     assert proc.returncode == 2
     proc = run_cli("learn", "--hamiltonian", "x.json", "--random", "2,1,0")
@@ -78,6 +78,28 @@ def test_learn_usage_error():
         proc = run_cli("learn", "--random", "2,1,0", "--eps", bad)
         assert proc.returncode == 2
         assert "eps must be positive and finite" in proc.stderr
+    # Non-finite or overflowing coefficients end in a message, not a traceback.
+    proc = run_cli("gen", "--n", "2", "--s", "2", "--coeff-range", "inf")
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+    huge = tmp_path / "huge.json"
+    proc = run_cli(
+        "gen", "--n", "2", "--s", "2", "--coeff-range", "1e308", "--coeff-floor", "1e307",
+        "--out", str(huge),
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("learn", "--hamiltonian", str(huge))
+    assert proc.returncode == 2
+    assert "Trotter step count is not finite" in proc.stderr
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"n": 2, "terms": [{"pauli": "XX", "coeff": NaN}]}')
+    for argv in (
+        ("learn", "--hamiltonian", str(nan)),
+        ("distance", "--kind", "time", "--budget", "1", "--h1", str(nan), "--h2", str(nan)),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "coefficient of term XX is not finite" in proc.stderr
 
 
 def test_distance_command(tmp_path):

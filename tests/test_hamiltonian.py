@@ -1,6 +1,7 @@
 """Sparse Hamiltonian model: restriction, norms, spectra, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,9 @@ def test_random_instance_coefficient_window():
     h = random_instance(3, 6, rng, coeff_range=1.0, coeff_floor=0.1)
     for _, c in h:
         assert 0.1 <= abs(c) <= 1.0
+    for floor, top in ((0.1, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            random_instance(3, 6, rng, coeff_range=top, coeff_floor=floor)
 
 
 def test_random_instance_bad_sparsity():
@@ -290,6 +294,10 @@ def test_loader_rejects_identity_and_duplicates():
                 ],
             }
         )
+    # Non-finite coefficients, which Python's json parses, name their term.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="coefficient of term XZ is not finite"):
+            SparseHamiltonian.from_json_dict({"n": 2, "terms": [{"pauli": "XZ", "coeff": bad}]})
 
 
 # -- distances between coefficient vectors ------------------------------------

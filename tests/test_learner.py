@@ -276,23 +276,17 @@ def test_learn_support_seeded_output_is_pinned():
 # -- support-round draws -------------------------------------------------------------
 
 
-def _per_round(n, r, t_lo, t_hi, rng):
-    """One support round drawn with the calls the batched draw must reproduce."""
-    rows = rng.integers(0, 2, size=(r, 2 * n)).tolist()
-    qs = [
-        PauliString(n, int("".join(map(str, row[:n])), 2), int("".join(map(str, row[n:])), 2))
-        for row in rows
-    ]
-    return qs, (rng.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo)
-
-
 def _assert_draws_match(n, r, t_lo, t_hi, batched, single, rounds=30):
-    got = list(_support_draws(n, r, rounds, t_lo, t_hi, batched))
-    want = [_per_round(n, r, t_lo, t_hi, single) for _ in range(rounds)]
-    assert [qs for qs, _ in got] == [qs for qs, _ in want]
-    assert all(type(t) is float for _, t in got)
-    times_got = np.array([t for _, t in got], dtype=np.float64).view(np.uint64)
-    times_want = np.array([t for _, t in want], dtype=np.float64).view(np.uint64)
+    bits, times = _support_draws(n, r, rounds, t_lo, t_hi, batched)
+    want_bits, want_times = [], []
+    for _ in range(rounds):
+        want_bits.append(single.integers(0, 2, size=(r, 2 * n)))
+        want_times.append(single.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo)
+    assert bits.dtype == np.uint8 and bits.shape == (rounds, r, 2, n)
+    np.testing.assert_array_equal(bits.reshape(rounds, r, 2 * n), np.stack(want_bits))
+    assert all(type(t) is float for t in times)
+    times_got = np.array(times, dtype=np.float64).view(np.uint64)
+    times_want = np.array(want_times, dtype=np.float64).view(np.uint64)
     assert times_got.tolist() == times_want.tolist()
     np.testing.assert_equal(batched.bit_generator.state, single.bit_generator.state)
 
@@ -309,7 +303,8 @@ def test_support_draws_match_per_round_calls(n):
 def test_support_draws_degenerate_window_draws_no_time(n):
     batched, single = np.random.default_rng(n), np.random.default_rng(n)
     _assert_draws_match(n, 3, math.pi / 4, 0.5, batched, single)
-    assert all(t == math.pi / 4 for _, t in _support_draws(n, 3, 5, math.pi / 4, 0.5, batched))
+    _, times = _support_draws(n, 3, 5, math.pi / 4, 0.5, batched)
+    assert all(t == math.pi / 4 for t in times)
 
 
 def test_support_draws_fall_back_to_per_round_calls():

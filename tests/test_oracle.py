@@ -17,6 +17,7 @@ from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
 from hamlearn.errors import CapacityError, DimensionMismatchError
 from hamlearn.hamiltonian import SparseHamiltonian, compress, random_instance
+from hamlearn.isolation import isolation_rounds
 from hamlearn.oracle import (
     EvolutionOracle,
     OracleConfig,
@@ -83,6 +84,10 @@ def test_config_validation():
 def test_trotter_plan_arithmetic():
     assert trotter_steps(4, 0.5, 2.0, 0.01) == math.ceil(math.sqrt((4 * 0.5 * 2.0) ** 3 / 0.01))
     assert trotter_steps(1, 0.0, 0.0, 1.0) == 1
+    # (R c t)^3 overflowing, an infinite norm and a NaN all raise, not OverflowError.
+    for c in (1e307, math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            trotter_steps(8, c, 10.0, 0.01)
 
 
 # -- evolve --------------------------------------------------------------------
@@ -527,6 +532,93 @@ def test_rejected_sample_restricted_charges_nothing():
         with pytest.raises(DimensionMismatchError):
             oracle.estimate_pauli_coeff_magnitude(qs, None, P("XXX"), 1.0, shots=10)
         assert oracle.ledger == ResourceLedger()
+
+
+# -- support stages --------------------------------------------------------------
+
+
+def _round_strings(n, rows):
+    """A round's (r, 2, n) bit rows decoded independently of the oracle."""
+    return [
+        PauliString(n, int("".join(map(str, x)), 2), int("".join(map(str, z)), 2)) for x, z in rows
+    ]
+
+
+def _exact_ledger(ledger):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(ledger).items()}
+
+
+@pytest.mark.parametrize(
+    "n, s, cfg",
+    [
+        (1, 1, {}),
+        (5, 8, {}),
+        (8, 8, {}),
+        (40, 8, {}),
+        (70, 4, {}),
+        (3, 0, {}),
+        (5, 8, {"spam_lambda": 0.05}),
+        (3, 0, {"spam_lambda": 0.05}),
+        (5, 8, {"mode": "trotter"}),
+        (40, 8, {"mode": "trotter"}),
+    ],
+)
+def test_support_stage_matches_per_round_sampling(n, s, cfg, monkeypatch):
+    # One stage call and a loop of sample_restricted over the same strings
+    # and times give equal outcomes, ledgers (to the last bit) and oracle
+    # generator states; only rounds with survivors are simulated.
+    truth = random_instance(n, s, np.random.default_rng(s)) if s else SparseHamiltonian(n)
+    r = isolation_rounds(max(s, 1))
+    draw = np.random.default_rng(100 * n + s)
+    bits = draw.integers(0, 2, size=(40, r, 2, n), dtype=np.uint8)
+    times = draw.uniform(0.0, 2.0, size=40).tolist()
+    staged, looped = make_oracle(truth, seed=9, **cfg), make_oracle(truth, seed=9, **cfg)
+
+    calls = []
+    original = EvolutionOracle.sample_restricted
+
+    def counted(self, qs, t):
+        calls.append(t)
+        return original(self, qs, t)
+
+    monkeypatch.setattr(EvolutionOracle, "sample_restricted", counted)
+    got = staged.sample_support_stage(bits, times)
+    monkeypatch.undo()
+    rounds = [_round_strings(n, rows.tolist()) for rows in bits]
+    want = [looped.sample_restricted(qs, t) for qs, t in zip(rounds, times)]
+
+    assert got == want
+    assert _exact_ledger(staged.ledger) == _exact_ledger(looped.ledger)
+    assert staged.ledger.experiments == 40
+    np.testing.assert_equal(staged.rng.bit_generator.state, looped.rng.bit_generator.state)
+    busy = [t for qs, t in zip(rounds, times) if truth.restrict(qs)]
+    assert calls == (times if cfg else busy)
+    if not cfg and s:
+        assert 0 < len(busy) < 40
+
+
+def test_support_stage_rejects_bad_input():
+    oracle = make_oracle(H(2, {"XX": 0.5, "ZI": 0.3}))
+    state = oracle.rng.bit_generator.state
+    good = np.zeros((3, 2, 2, 2), dtype=np.uint8)
+    for bits, times in (
+        (np.zeros((3, 2, 2, 3), dtype=np.uint8), [1.0] * 3),
+        (np.zeros((3, 2, 3, 2), dtype=np.uint8), [1.0] * 3),
+        (np.zeros((3, 2, 4), dtype=np.uint8), [1.0] * 3),
+        (good, [1.0] * 2),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            oracle.sample_support_stage(bits, times)
+    for bits, times in (
+        (good + 2, [1.0] * 3),
+        (good.astype(int), [1.0] * 3),
+        (good, [1.0, -1.0, 1.0]),
+        (good, [1.0, math.nan, 1.0]),
+    ):
+        with pytest.raises(ValueError):
+            oracle.sample_support_stage(bits, times)
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
 
 
 # Restrictions by XX keep the commuting pair {XX, ZZ} (closed form); XI and
