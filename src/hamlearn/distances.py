@@ -34,15 +34,40 @@ Suprema are found by Piyavskii-Shubert branch-and-bound on [0, budget]
 (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9(3), 1972): only
 intervals whose Lipschitz upper envelope can still beat the best value
 are bisected, and ``grid_error`` is the certified gap between the largest
-envelope and the reported value. The two slopes are:
+envelope and the reported value. The slopes are:
 
 - d_T: ``K = ||H1 - H2||_op``. X(t) = e^{itH1} e^{-itH2} obeys
   X' = iG(t)X with G = e^{itH1}(H1 - H2)e^{-itH1}, so every eigenphase
   moves at speed |<v|G|v>| <= ||H1 - H2||_op, the arc spread at most
   twice as fast, and sin(spread/2) is K-Lipschitz.
-- d_B: ``K = (spread_1 + spread_2)/4`` with spread = lambda_max - lambda_min.
-  d rho/d beta = -(H - <H>) rho has trace norm E|E - <E>| <= sigma <=
-  spread/2 (Popoviciu's inequality), and d_B is half a trace norm.
+- d_B on [beta_l, beta_r]: the smaller of ``(spread_1 + spread_2)/4`` and
+  ``K(beta_r) = ||Delta||_op (2 + 3 beta_r S)/2``, with spread =
+  lambda_max - lambda_min, Delta = H1 - H2 and S = max(spread_1, spread_2).
+  Both bound |d'| through d rho/d beta = -(H - <H>) rho. The first: its
+  trace norm is E|E - <E>| <= sigma <= spread/2 (Popoviciu's inequality),
+  and d_B is half a trace norm. The second scales with the gap. Along
+  H_lam = H2 + lam Delta, lam in [0, 1], Duhamel's formula
+  d e^{-beta H}/d lam = -int_0^beta e^{-sH} Delta e^{-(beta-s)H} ds and
+  Hoelder's inequality with exponents beta/s, beta/(beta-s) bound its
+  trace norm by beta ||Delta|| Z, so ||d rho/d lam||_1 <= 2 beta ||Delta||
+  (the second half from d Z/d lam). Differentiating,
+  d/d lam [(H - <H>) rho] = Delta rho + (H - <H>) d rho/d lam
+  - (d<H>/d lam) rho, where d<H>/d lam = Tr(Delta rho) + Tr((H - mid)
+  d rho/d lam), because d rho/d lam is traceless, and mid is the middle of
+  the spectrum, so ||H - mid|| = S/2; also ||H - <H>|| <= S. The three
+  terms have trace norms at most ||Delta||, 2 beta S ||Delta|| and
+  ||Delta|| (1 + beta S), so ||d/d lam d rho/d beta||_1 <= ||Delta||
+  (2 + 3 beta S); integrating over lam bounds the difference of the two
+  states' beta-derivatives. The spread is convex in H (lambda_max is
+  convex, lambda_min concave), so S bounds it at every lam. Halve the
+  bound for d_B. It grows with beta, so its value at beta_r holds on the
+  whole interval.
+
+``refine`` adds a golden-section touch-up around the best grid point. It
+stops once the bracket's slope times its width is at most the
+certificate's upper bound minus the best value: every point of the bracket
+lies within its width of the best point found, so no further evaluation
+could lift the value past the certified bound.
 """
 
 from __future__ import annotations
@@ -149,8 +174,16 @@ def half_diamond_unitary(v: np.ndarray, w: np.ndarray) -> float:
     return _arc_half_diamond(phases)
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section refinement of a maximum on [lo, hi], 52 evaluations."""
+def _golden_max(f, lo: float, hi: float, lipschitz: float, upper: float) -> tuple[float, float]:
+    """Golden-section refinement of a maximum on [lo, hi], at most 52 evaluations.
+
+    ``f`` is ``lipschitz``-Lipschitz on [lo, hi] and bounded by ``upper``.
+    Every point dropped from the bracket [a, b] is no better than one kept,
+    so the best value so far is attained inside it, and no point of the
+    bracket can beat it by more than ``lipschitz * (b - a)``. The search
+    stops once that is at most ``upper`` minus the best value: later
+    evaluations could not lift it past ``upper``.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -158,6 +191,8 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     fc, fd = f(c), f(d)
     best_x, best_v = (c, fc) if fc >= fd else (d, fd)
     for _ in range(50):
+        if lipschitz * (b - a) <= upper - best_v:
+            break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -180,27 +215,29 @@ def _check_budget(budget: float, grid: int) -> None:
         raise ValueError("grid must have at least two points")
 
 
-def _supremum(
-    f, budget: float, grid: int, refine: bool, lipschitz: float, kind: str
-) -> DistanceResult:
-    """Maximize ``f``, valued in [0, 1] and ``lipschitz``-Lipschitz, over [0, budget].
+def _supremum(f, budget: float, grid: int, refine: bool, slope, kind: str) -> DistanceResult:
+    """Maximize ``f``, valued in [0, 1], over [0, budget].
 
-    Branch-and-bound from the endpoints: on an interval of width w with end
-    values f_l, f_r, ``f <= (f_l + f_r + K w)/2``. Each round evaluates the
-    midpoint of every interval whose envelope exceeds ``best + K budget/grid``
-    and whose halves stay wider than ``budget/grid``, so at most ``grid``
-    points are evaluated, all of them dyadic fractions of the budget.
+    ``slope`` maps an array of right ends r to Lipschitz constants of ``f``
+    on [0, r], nondecreasing in r (a constant is one); an interval's slope
+    is its right end's. Branch-and-bound from the endpoints: on an interval
+    of width w with end values f_l, f_r and slope K,
+    ``f <= (f_l + f_r + K w)/2``. Each round evaluates the midpoint of every
+    interval whose envelope exceeds ``best + K(budget) budget/grid`` and
+    whose halves stay wider than ``budget/grid``, so at most ``grid`` points
+    are evaluated, all of them dyadic fractions of the budget.
     ``grid_error`` is the largest envelope minus the value: it never exceeds
-    ``K budget/grid`` plus 1e-12 of slack for rounding in ``f``. ``refine``
-    adds a golden-section search between the best point's evaluated
-    neighbours.
+    ``K(budget) budget/grid`` plus 1e-12 of slack for rounding in ``f``.
+    ``refine`` adds a golden-section search between the best point's
+    evaluated neighbours (:func:`_golden_max`), which stops once it can no
+    longer lift the value past the certificate.
     """
     xs = np.array([0.0, budget])
     fs = np.array([f(0.0), f(budget)])
     depths = np.zeros(1, dtype=np.int64)
-    target = lipschitz * budget / grid
+    target = float(slope(budget)) * budget / grid
     while True:
-        envelope = np.minimum(1.0, (fs[:-1] + fs[1:] + lipschitz * np.diff(xs)) / 2)
+        envelope = np.minimum(1.0, (fs[:-1] + fs[1:] + slope(xs[1:]) * np.diff(xs)) / 2)
         split = (envelope > fs.max() + target) & (2 ** (depths + 1) < grid)
         if not split.any():
             break
@@ -209,14 +246,15 @@ def _supremum(
         xs = np.insert(xs, at + 1, mids)
         fs = np.insert(fs, at + 1, [f(x) for x in mids])
         depths = np.repeat(depths + split, 1 + split)
+    # 1e-12 is slack for rounding in f.
+    upper = min(1.0, float(envelope.max()) + 1e-12)
     i = int(fs.argmax())
     argmax, value = float(xs[i]), float(fs[i])
     if refine:
-        x, v = _golden_max(f, xs[max(0, i - 1)], xs[min(xs.size - 1, i + 1)])
+        hi = xs[min(xs.size - 1, i + 1)]
+        x, v = _golden_max(f, xs[max(0, i - 1)], hi, float(slope(hi)), upper)
         if v > value:
             argmax, value = float(x), float(v)
-    # 1e-12 is slack for rounding in f.
-    upper = min(1.0, float(envelope.max()) + 1e-12)
     return DistanceResult(value, argmax, max(0.0, upper - value), kind)
 
 
@@ -245,7 +283,8 @@ def d_T(
         x = (np.exp(1j * t * w1)[:, None] * m * np.exp(-1j * t * w2)[None, :]) @ m_dag
         return _arc_half_diamond(np.angle(np.linalg.eigvals(x)))
 
-    return _supremum(f, T, grid, refine, (g1 - g2).op_norm(), "time_constrained")
+    gap = (g1 - g2).op_norm()
+    return _supremum(f, T, grid, refine, lambda right: gap, "time_constrained")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +341,13 @@ def d_B(
         def f(beta: float) -> float:
             return 0.5 * _gibbs_trace_gap(w1, a, w2, b, beta)
 
-    lipschitz = float(np.ptp(w1) + np.ptp(w2)) / 4
-    return _supremum(f, B, grid, refine, lipschitz, "temperature_constrained")
+    spreads = (float(np.ptp(w1)), float(np.ptp(w2)))
+    gap = (g1 - g2).op_norm()
+
+    def slope(right):
+        return np.minimum(sum(spreads) / 4, 0.5 * gap * (2.0 + 3.0 * right * max(spreads)))
+
+    return _supremum(f, B, grid, refine, slope, "temperature_constrained")
 
 
 def gibbs_trace_bound_check(

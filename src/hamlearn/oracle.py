@@ -291,9 +291,9 @@ class EvolutionOracle:
         returns the dense n-qubit unitary instead, capped at
         ``pauli.DENSE_LIMIT`` qubits.
         """
-        if t < 0:
-            raise ValueError("negative evolution time")
-        if drift is not None and abs(drift[1]) > 4.0:
+        if not 0 <= t < math.inf:
+            raise ValueError(f"evolution time must be finite and non-negative, got {t}")
+        if drift is not None and not abs(drift[1]) <= 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
         if self.config.mode == "trotter" and qs:
             amplitudes = self._execute_trotter(qs, t, drift)

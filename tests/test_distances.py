@@ -407,14 +407,23 @@ def _dense_objectives(h1, h2, ts):
 
 def test_objective_slopes_within_certified_constants(rng):
     ts = np.linspace(0.0, 4.0, 401)
+    pairs = []
     for _ in range(30):
         n = int(rng.integers(1, 4))
-        h1 = random_bounded_instance(n, 3, rng, op_cap=2.0)
-        h2 = random_bounded_instance(n, 3, rng, op_cap=2.0)
+        pairs.append((random_bounded_instance(n, 3, rng, op_cap=2.0),
+                      random_bounded_instance(n, 3, rng, op_cap=2.0)))
+    # Close pairs, like learned against true: one coefficient moved by about 1e-2.
+    pairs += [(h1, h1.add_term(next(iter(h1.terms)), float(rng.normal(0, 0.01))))
+              for h1, _ in pairs]
+    for h1, h2 in pairs:
         dt, db, spread1, spread2 = _dense_objectives(h1, h2, ts)
         step = np.diff(ts)
-        assert np.abs(np.diff(dt) / step).max() <= (h1 - h2).op_norm() + 1e-9
-        assert np.abs(np.diff(db) / step).max() <= (spread1 + spread2) / 4 + 1e-9
+        gap = (h1 - h2).op_norm()
+        db_slopes = np.abs(np.diff(db) / step)
+        assert np.abs(np.diff(dt) / step).max() <= gap + 1e-9
+        assert db_slopes.max() <= (spread1 + spread2) / 4 + 1e-9
+        # The gap-scaled slope at each step's right end.
+        assert np.all(db_slopes <= 0.5 * gap * (2 + 3 * ts[1:] * max(spread1, spread2)) + 1e-9)
 
 
 def test_certificate_covers_fine_grid_maximum(rng):
@@ -454,6 +463,41 @@ def test_dt_close_pair_needs_few_evaluations(monkeypatch):
     res = d_T(h1, h2, T=2.0, grid=2048, refine=False)
     assert len(calls) <= 64
     assert res.value > 0.0
+
+
+def _close_pair():
+    return (H(3, {"XXI": 0.5, "ZIZ": -0.3, "IYY": 0.4}),
+            H(3, {"XXI": 0.5, "ZIZ": -0.29, "IYY": 0.4}))
+
+
+def _counting(monkeypatch, name):
+    """Count calls to ``np.linalg.<name>`` from now on."""
+    calls = []
+    kernel = getattr(np.linalg, name)
+
+    def counted(x):
+        calls.append(1)
+        return kernel(x)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_dt_touch_up_stops_within_certificate(monkeypatch):
+    h1, h2 = _close_pair()
+    plain = d_T(h1, h2, T=2.0, grid=2048, refine=False)
+    calls = _counting(monkeypatch, "eigvals")
+    res = d_T(h1, h2, T=2.0, grid=2048, refine=True)
+    assert len(calls) <= 24
+    assert plain.value <= res.value <= plain.value + plain.grid_error
+
+
+def test_db_close_pair_uses_gap_scaled_slope(monkeypatch):
+    calls = _counting(monkeypatch, "eigvalsh")
+    res = d_B(*_close_pair(), B=2.0, grid=512, refine=False)
+    assert len(calls) <= 100
+    assert 0.0 < res.value
+    assert res.grid_error <= 5e-4
 
 
 # -- joint compression against the dense n-qubit objectives ------------------------

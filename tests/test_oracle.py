@@ -526,11 +526,22 @@ def test_rejected_sample_restricted_charges_nothing():
     with pytest.raises(ValueError, match="drift"):
         oracle.estimate_pauli_coeff_magnitude(qs, drift, P("XX"), 1.0, shots=10)
     assert oracle.ledger == ResourceLedger()
-    # A target on the wrong number of qubits, in either mode.
+    # A target on the wrong number of qubits, a non-finite time or a NaN
+    # drift, in either mode.
     for mode in ("exact", "trotter"):
         oracle = make_oracle(h, mode=mode)
         with pytest.raises(DimensionMismatchError):
             oracle.estimate_pauli_coeff_magnitude(qs, None, P("XXX"), 1.0, shots=10)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="evolution time"):
+                oracle.evolve(t)
+            for restriction in ([], qs):
+                with pytest.raises(ValueError, match="evolution time"):
+                    oracle.sample_restricted(restriction, t)
+                with pytest.raises(ValueError, match="evolution time"):
+                    oracle.estimate_pauli_coeff_magnitude(restriction, None, P("XX"), t, 5)
+        with pytest.raises(ValueError, match="drift"):
+            oracle.sample_restricted(qs, 1.0, drift=(P("XX"), math.nan))
         assert oracle.ledger == ResourceLedger()
 
 
