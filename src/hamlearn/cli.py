@@ -107,6 +107,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_bounds_sweep(args) -> int:
+    if args.max_n < 1:
+        _usage_error(f"--max-n must be >= 1, got {args.max_n}")
     rng = np.random.default_rng(args.seed)
     lines = ["trial,check,lhs,rhs,margin"]
     for trial in range(args.trials):
@@ -140,10 +142,14 @@ def _cmd_bounds_sweep(args) -> int:
 
 
 def _cmd_vv_stats(args) -> int:
+    sizes, rs = _int_list(args.set_size), _int_list(args.r)
+    for flag, values in (("--set-size", sizes), ("--r", rs)):
+        if not values:
+            _usage_error(f"{flag} needs at least one value")
     rng = np.random.default_rng(args.seed)
     lines = ["set_size,r,mean,variance,p_empty,trials"]
-    for size in _int_list(args.set_size):
-        for r in _int_list(args.r):
+    for size in sizes:
+        for r in rs:
             st = vv_statistics(size, r, args.trials, rng, m=args.m)
             lines.append(bench_mod.csv_row(size, r, st.mean, st.variance, st.p_empty, st.trials))
     _write(args.out, "\n".join(lines) + "\n")

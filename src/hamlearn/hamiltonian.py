@@ -202,16 +202,28 @@ class SparseHamiltonian:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SparseHamiltonian":
-        n = int(data["n"])
+        """Parse a ``hamiltonian.schema.json`` document; ValueError if it is malformed."""
+        # Exact JSON types: an integer n, a list of terms, a real coeff (bool excluded).
+        if type(data) is not dict or type(data["n"]) is not int:
+            raise ValueError("a Hamiltonian document is an object with an integer n")
+        if type(data["terms"]) is not list:
+            raise ValueError("terms must be a list")
         terms: dict[PauliString, float] = {}
         for entry in data["terms"]:
+            if type(entry) is not dict or type(entry["pauli"]) is not str:
+                raise ValueError(f"term {entry!r} is not an object with a string pauli")
             p = PauliString.from_label(entry["pauli"])
             if p.is_identity:
                 raise ValueError("identity term in Hamiltonian file")
             if p in terms:
                 raise ValueError(f"duplicate term {p.label} in Hamiltonian file")
-            terms[p] = float(entry["coeff"])
-        return SparseHamiltonian(n, terms)
+            if type(entry["coeff"]) not in (int, float):
+                raise ValueError(f"coefficient of term {p.label} is not a real number")
+            try:
+                terms[p] = float(entry["coeff"])
+            except OverflowError:
+                raise ValueError(f"coefficient of term {p.label} is not finite") from None
+        return SparseHamiltonian(data["n"], terms)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

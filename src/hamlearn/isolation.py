@@ -95,13 +95,6 @@ def draw_isolation_for_target(
 # ---------------------------------------------------------------------------
 
 
-def _support_masks(h: SparseHamiltonian) -> tuple[np.ndarray, np.ndarray, list[PauliString]]:
-    supp = sorted(h.support, key=lambda p: p.sort_key())
-    x = np.array([p.x_bits for p in supp], dtype=np.uint64)
-    z = np.array([p.z_bits for p in supp], dtype=np.uint64)
-    return x, z, supp
-
-
 def isolation_probability_empirical(
     h: SparseHamiltonian,
     p0: PauliString,
@@ -111,30 +104,19 @@ def isolation_probability_empirical(
     """Fraction of plain isolation draws whose only survivor is ``p0``.
 
     Uses r = ceil(log2 s)+2 with s the true sparsity, exactly as
-    :func:`draw_isolation` does, but evaluates all trials with batched
-    bit arithmetic.
+    :func:`draw_isolation` does, but draws every trial's strings as one
+    (trials, r, 2, n) bit array and finds all survivors with
+    :func:`pauli.anticommuting`.
     """
     if p0 not in h.support:
         raise ValueError("target is not in the support")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if h.n > 62:
-        raise ValueError("vectorized path supports n <= 62")
-    s = h.sparsity
-    r = isolation_rounds(s)
-    tx, tz, supp = _support_masks(h)
-    idx0 = supp.index(p0)
-
-    high = np.uint64(1) << np.uint64(h.n)
-    qx = rng.integers(0, high, size=(trials, r), dtype=np.uint64)
-    qz = rng.integers(0, high, size=(trials, r), dtype=np.uint64)
-    # anti[i, trial, j] = 1 iff support term i anticommutes with Q_{trial,j}
-    anti = (
-        np.bitwise_count(tx[:, None, None] & qz[None, :, :])
-        + np.bitwise_count(tz[:, None, None] & qx[None, :, :])
-    ) & 1
-    survives = ~(anti.astype(bool).any(axis=2))  # (s, trials)
-    isolated = survives[idx0] & (survives.sum(axis=0) == 1)
+    supp = sorted(h.support, key=lambda p: p.sort_key())
+    r = isolation_rounds(len(supp))
+    qs = rng.integers(0, 2, size=(trials, r, 2, h.n), dtype=np.uint8)
+    survives = ~pl.anticommuting(qs, pl.bit_rows(supp, h.n)).any(axis=1)  # (trials, s)
+    isolated = survives[:, supp.index(p0)] & (survives.sum(axis=1) == 1)
     return float(isolated.mean())
 
 

@@ -133,63 +133,17 @@ def learn_support(
     set has at most T elements and contains every term with
     |h_P| >= eps with probability >= 1 - delta.
 
-    All T isolations and times are drawn before the first query
-    (:func:`_support_draws`), as per-round ``rng.integers`` and
-    ``rng.uniform`` calls would draw them, and the whole stage is one
-    :meth:`EvolutionOracle.sample_support_stage` call. That call settles
-    the rounds in which no term survives without simulating them, with the
-    outcomes, ledger charges and oracle draws of one ``sample_restricted``
-    call per round.
+    All T rounds' strings are drawn by one ``rng.integers`` call as a
+    (T, r, 2, n) bit array and their times by one ``rng.uniform`` call
+    (every time is pi/4, with no draw, when 1/eps <= pi/4). The whole stage
+    is one :meth:`EvolutionOracle.sample_support_stage` call, which settles
+    the rounds in which no term survives without simulating them.
     """
     r, rounds = isolation_rounds(params.s_bound), support_rounds(params)
-    bits, times = _support_draws(oracle.n, r, rounds, math.pi / 4.0, 1.0 / params.eps, rng)
+    bits = rng.integers(0, 2, size=(rounds, r, 2, oracle.n), dtype=np.uint8)
+    t_lo, t_hi = math.pi / 4.0, 1.0 / params.eps
+    times = rng.uniform(t_lo, t_hi, rounds).tolist() if t_hi > t_lo else [t_lo] * rounds
     return {p for p in oracle.sample_support_stage(bits, times) if not p.is_identity}
-
-
-def _support_draws(
-    n: int, r: int, rounds: int, t_lo: float, t_hi: float, rng: np.random.Generator
-) -> tuple[np.ndarray, list[float]]:
-    """Every round's r uniform strings as bits, and its time in [t_lo, t_hi].
-
-    Returns ``(bits, times)``: ``bits[k]`` is the (r, 2, n) 0/1 ``uint8``
-    array that ``pauli.random_uniforms(n, r, rng)`` decodes round k's strings
-    from (X bits, then Z bits, qubit 0 first), and ``times[k]`` what the
-    following ``rng.uniform(t_lo, t_hi)`` gives (t_lo, with no draw, when
-    the window is degenerate); ``rng`` is left in the same state as those
-    per-round calls leave it. On a PCG64 generator with no buffered 32-bit
-    half, one ``random_raw`` call draws r n words per round, plus one for
-    the time, and they are decoded as numpy does: ``integers(0, 2)`` takes
-    one 32-bit half per bit, low half first, and Lemire's method with range
-    1 never rejects, so each bit is the top bit of its half; ``uniform`` is
-    ``t_lo + (t_hi - t_lo) * ((word >> 11) * 2^-53)``. Any other generator
-    is drawn round by round with those two calls.
-    """
-    draw_time = t_hi > t_lo
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
-        bits = np.empty((rounds, r, 2, n), dtype=np.uint8)
-        times = []
-        for k in range(rounds):
-            bits[k] = rng.integers(0, 2, size=(r, 2, n))
-            times.append(rng.uniform(t_lo, t_hi) if draw_time else t_lo)
-        return bits, times
-
-    raw = bg.random_raw(rounds * (r * n + draw_time)).reshape(rounds, -1)
-    # A little-endian word read as two 32-bit halves gives low half first;
-    # each bit is the top bit of its half, one byte per bit.
-    halves = raw[:, : r * n].astype("<u8", copy=False).view("<u4")
-    bits = (halves >= 1 << 31).view(np.uint8).reshape(rounds, r, 2, n)
-    if draw_time:
-        unit = (raw[:, -1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        times = (t_lo + (t_hi - t_lo) * unit).tolist()
-    else:
-        times = [t_lo] * rounds
-    # The per-round calls leave the last high half in the (unused) 32-bit
-    # buffer; keep it there so the state matches field for field.
-    state = bg.state
-    state["uinteger"] = int(raw[-1, r * n - 1] >> np.uint64(32))
-    bg.state = state
-    return bits, times
 
 
 # ---------------------------------------------------------------------------

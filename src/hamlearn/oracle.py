@@ -28,9 +28,10 @@ charged the plain ``t``). Only ``evolve``, ``evolve_restricted`` and
 ``pauli_sample`` handle dense n-qubit unitaries.
 
 A support stage is served by one ``sample_support_stage`` call. In exact
-mode without SPAM, a round in which no term survives the restriction
-evolves by the identity, so it is charged and settled (outcome I) without
-simulation; the other rounds are ordinary ``sample_restricted`` queries.
+mode a round in which no term survives the restriction evolves by the
+identity, so it is charged and measured from the one amplitude of I
+without simulation; the other rounds are ordinary ``sample_restricted``
+queries.
 
 The product formula takes ``l = ceil(sqrt((R c t)^3 / eps))`` steps for R
 summands of norm at most c (:func:`trotter_steps`); its step constant is
@@ -233,7 +234,6 @@ class EvolutionOracle:
         self.config = config or OracleConfig()
         self.ledger = ResourceLedger()
         self.rng = np.random.default_rng(rng)
-        self._op_norm_cache: float | None = None
 
     @property
     def n(self) -> int:
@@ -241,10 +241,9 @@ class EvolutionOracle:
 
     # -- internals ------------------------------------------------------
 
+    @functools.cached_property
     def _op_norm(self) -> float:
-        if self._op_norm_cache is None:
-            self._op_norm_cache = self.hamiltonian.op_norm()
-        return self._op_norm_cache
+        return self.hamiltonian.op_norm()
 
     def _trotter_schedule(self, r: int, t: float) -> tuple[int, int]:
         """``(R, l)`` of an r-string restriction at time ``t``.
@@ -253,7 +252,7 @@ class EvolutionOracle:
         step count ``l = trotter_steps(R, ||H|| / R, t, trotter_epsilon)``.
         """
         R = 1 << r
-        return R, trotter_steps(R, self._op_norm() / R, t, self.config.trotter_epsilon)
+        return R, trotter_steps(R, self._op_norm / R, t, self.config.trotter_epsilon)
 
     def _charge_restricted(self, r: int, t: float, executions: int = 1) -> None:
         """Ledger charges of `executions` runs of a restricted evolution.
@@ -439,18 +438,18 @@ class EvolutionOracle:
         """One :meth:`sample_restricted` experiment per round of a support stage.
 
         ``bits`` is the (T, r, 2, n) 0/1 ``uint8`` array of each round's r
-        conjugation strings (X bits, then Z bits, qubit 0 first); round k
-        evolves for ``times[k]``. Returns the T outcomes, ledger charges and
-        RNG draws of ``sample_restricted`` on the rounds in turn; a rejected
+        conjugation strings (:func:`pauli.bit_rows` layout); round k evolves
+        for ``times[k]``. Returns the T outcomes, ledger charges and RNG
+        draws of ``sample_restricted`` on the rounds in turn; a rejected
         stage charges nothing.
 
         A term survives a round iff it commutes with all r strings (the rule
-        of :meth:`SparseHamiltonian.restrict`), decided for all rounds by one
-        integer product. A round with no survivor evolves by the identity:
-        it is charged as ``sample_restricted`` would charge it and consumes
-        its one uniform, and its outcome is I, with no string built and
-        nothing simulated. With SPAM, whose draws interleave with the
-        uniforms, and in trotter mode, where the product of an empty
+        of :meth:`SparseHamiltonian.restrict`), decided for all rounds by
+        :func:`pauli.anticommuting`. In exact mode a round with no survivor
+        evolves by the identity: it is charged as ``sample_restricted``
+        would charge it and measured from the one amplitude of I (the same
+        SPAM and outcome draws), with no string built and nothing
+        simulated. In trotter mode, where the product of an empty
         restriction is not exactly I, every round is a ``sample_restricted``.
         """
         bits = np.asarray(bits)
@@ -465,23 +464,12 @@ class EvolutionOracle:
             raise ValueError("evolution times must be finite and non-negative")
         r = bits.shape[1]
 
-        if self.config.spam_lambda > 0.0 or self.config.mode == "trotter":
-            busy = np.ones(rounds, dtype=bool)
-        else:
-            terms = list(self.hamiltonian.terms)
-            # Column j holds term j's Z bits, then its X bits, so a string's
-            # (X, Z) row times it counts x_Q.z_P + z_Q.x_P; uint8 wraps
-            # mod 256, which keeps the parity.
-            shifts = range(self.n - 1, -1, -1)
-            swapped = np.array(
-                [[(m >> i) & 1 for m in (p.z_bits, p.x_bits) for i in shifts] for p in terms],
-                dtype=np.uint8,
-            ).reshape(len(terms), 2 * self.n)
-            odd = (bits.reshape(rounds * r, 2 * self.n) @ swapped.T) & 1
-            busy = (~odd.reshape(rounds, r, len(terms)).any(axis=1)).any(axis=1)
+        anti = pl.anticommuting(bits, pl.bit_rows(self.hamiltonian.terms, self.n))
+        # Trotter mode simulates every round, the empty ones included.
+        busy = (~anti.any(axis=1)).any(axis=1) | (self.config.mode == "trotter")
 
         masks = iter(pl._pack_bits(bits[busy]).tolist())
-        identity = PauliString.identity(self.n)
+        one, identity = np.ones(1), [PauliString.identity(self.n)].__getitem__
         outcomes = []
         for t, has_survivor in zip(times, busy.tolist()):
             if has_survivor:
@@ -489,9 +477,7 @@ class EvolutionOracle:
                 outcomes.append(self.sample_restricted(qs, t))
             else:
                 self._charge_restricted(r, t)
-                self.ledger.charge_experiment(1, ancilla=self.n)
-                self.rng.random()
-                outcomes.append(identity)
+                outcomes.append(self._measure(one, identity))
         return outcomes
 
     def _structured_amplitudes(

@@ -229,6 +229,36 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return ints
 
 
+def bit_rows(strings: Iterable[PauliString], n: int) -> np.ndarray:
+    """The (count, 2, n) 0/1 ``uint8`` bits of n-qubit strings.
+
+    Row k holds string k's X bits, then its Z bits, qubit 0 first: the
+    layout :func:`random_uniforms` draws and :func:`_pack_bits` reads back.
+    """
+    digits = []
+    for p in strings:
+        if p.n != n:
+            raise DimensionMismatchError(f"{p} acts on {p.n} qubits, expected {n}")
+        digits.append(f"{p.x_bits:0{n}b}{p.z_bits:0{n}b}")
+    text = "".join(digits).encode()
+    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, 2, n)
+
+
+def anticommuting(string_bits: np.ndarray, term_bits: np.ndarray) -> np.ndarray:
+    """Which strings anticommute with which terms, from their bit rows.
+
+    ``string_bits`` is any (..., 2, n) and ``term_bits`` a (k, 2, n) 0/1
+    ``uint8`` array in the :func:`bit_rows` layout; entry ``[..., j]`` of the
+    boolean result is True iff the string anticommutes with term j. One
+    integer product counts x_Q.z_P + z_Q.x_P per pair (a term's rows swapped
+    to Z, then X); ``uint8`` wraps mod 256, which keeps the parity.
+    """
+    n = term_bits.shape[-1]
+    swapped = term_bits[:, ::-1].reshape(-1, 2 * n)
+    odd = (string_bits.reshape(-1, 2 * n) @ swapped.T) & 1
+    return odd.reshape(string_bits.shape[:-2] + (len(term_bits),)).astype(bool)
+
+
 def random_uniforms(n: int, count: int, rng: np.random.Generator) -> list[PauliString]:
     """``count`` independent uniform samples over all 4^n strings, from one draw.
 

@@ -102,6 +102,26 @@ def test_learn_usage_error(tmp_path):
         assert "coefficient of term XX is not finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "terms": {"XX": 1}}',
+        "[1, 2]",
+        '{"n": 2, "terms": null}',
+        '{"n": 2, "terms": [{"pauli": "XX", "coeff": [1]}]}',
+        '{"n": 2.7, "terms": [{"pauli": "XX", "coeff": 0.5}]}',
+    ],
+)
+def test_malformed_hamiltonian_file_is_usage_error(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    proc = run_cli(
+        "distance", "--kind", "time", "--budget", "1", "--h1", str(path), "--h2", str(path)
+    )
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_distance_command(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("gen", "--n", "3", "--s", "2", "--seed", "1", "--out", str(a))
@@ -161,6 +181,16 @@ def test_vv_stats_csv():
     size, r, mean, var, p_empty, trials = row.split(",")
     assert (size, r, trials) == ("4", "2", "20000")
     assert abs(float(mean) - 1.0) < 0.05
+
+
+def test_empty_or_out_of_range_flags_are_usage_errors(capsys):
+    for argv, flag in (
+        (["bounds-sweep", "--max-n", "0"], "--max-n"),
+        (["vv-stats", "--set-size", "", "--r", "2"], "--set-size"),
+        (["vv-stats", "--set-size", "4", "--r", ","], "--r"),
+    ):
+        assert exit_code(argv) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_bounds_sweep_rows():
@@ -235,8 +265,8 @@ PINNED_LEARN_HEADER = (
 )
 PINNED_LEDGER = """{
   "experiments": 87616543494,
-  "total_time": 6023640762.059154,
-  "queries": 179438682006352,
+  "total_time": 6023640947.018407,
+  "queries": 179438682171792,
   "min_resolution": 3.0517578125e-06,
   "ancilla": 4
 }
@@ -245,22 +275,22 @@ PINNED = [
     (
         ["learn", "--random", "4,3,7", "--eps", "0.1", "--delta", "0.2", "--seed", "1"],
         PINNED_LEARN_HEADER
-        + "1,1,0.000246346758089,0.000362878637522,87616543494,6023640762.06,"
-        "179438682006352,3.0517578125e-06\n",
+        + "1,1,0.000246346758089,0.000362878637522,87616543494,6023640947.02,"
+        "179438682171792,3.0517578125e-06\n",
         PINNED_LEDGER,
     ),
     (
         ["learn", "--random", "3,3,5", "--spam", "0.05", "--seed", "2"],
         PINNED_LEARN_HEADER
-        + "2,1,0.00437833852634,0.00699679926505,485149146919,33354011798.8,"
-        "11923025425708768,3.81469726563e-07\n",
+        + "2,1,0.00443783368404,0.00759343960204,536838799883,36907675591.7,"
+        "13193350337197072,3.81469726563e-07\n",
         None,
     ),
     (
         ["learn", "--random", "3,2,9", "--eps", "0.2", "--mode", "trotter", "--seed", "3"],
         PINNED_LEARN_HEADER
-        + "3,1,0.000909688499157,0.00106144572505,15121307865,189017752.904,"
-        "15484219069232,6.103515625e-06\n",
+        + "3,1,0.000909688499157,0.00106144572505,15121307865,189017717.902,"
+        "15484219059248,6.103515625e-06\n",
         None,
     ),
     (
@@ -269,14 +299,14 @@ PINNED = [
         "s,eps,seed,success,linf_error,l1_error,op_error,experiments,total_time,queries,"
         "min_resolution,ancilla\n"
         "2,0.1,11,1,0.000393747029509,0.000472060021761,0.000401459397701,1058647012,"
-        "72782308.1676,1084054570448,6.103515625e-06,5\n"
+        "72782321.6703,1084054575784,6.103515625e-06,5\n"
         "2,0.1,12,1,0.00416563376339,0.0067086538905,0.0067086538905,1058647012,"
-        "72782309.7013,1084054510880,6.103515625e-06,5\n"
+        "72782311.0705,1084054510816,6.103515625e-06,5\n"
         "4,0.1,13,1,0.00320530838631,0.00903412889743,0.00685285547805,3021930201,"
-        "207758414.251,18566738990544,1.52587890625e-06,5\n"
-        "4,0.1,14,1,0.000469859434893,0.000854133327202,0.000744114197926,2344424509,"
-        "161179910.857,14404144374848,1.52587890625e-06,5\n"
-        "# slope_experiments_vs_s_ln_s,0.67086\n",
+        "207758451.592,18566739029488,1.52587890625e-06,5\n"
+        "4,0.1,14,1,0.000468589081372,0.00079614569235,0.000704635826618,3715930893,"
+        "255471006.501,22830679660992,1.52587890625e-06,5\n"
+        "# slope_experiments_vs_s_ln_s,0.835035\n",
         None,
     ),
 ]

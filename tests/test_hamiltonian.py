@@ -300,6 +300,33 @@ def test_loader_rejects_identity_and_duplicates():
             SparseHamiltonian.from_json_dict({"n": 2, "terms": [{"pauli": "XZ", "coeff": bad}]})
 
 
+MALFORMED_DOCUMENTS = [
+    {"n": 2, "terms": {"XX": 1}},
+    [1, 2],
+    {"n": 2, "terms": None},
+    {"n": 2, "terms": [{"pauli": "XX", "coeff": [1]}]},
+    {"n": 2.7, "terms": [{"pauli": "XX", "coeff": 0.5}]},
+    {"n": True, "terms": []},
+    {"n": 2, "terms": ["XX"]},
+    {"n": 2, "terms": [{"pauli": 3, "coeff": 0.5}]},
+    {"n": 2, "terms": [{"pauli": "XX", "coeff": False}]},
+    {"n": 2, "terms": [{"pauli": "XX", "coeff": "0.5"}]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS)
+def test_loader_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        SparseHamiltonian.from_json_dict(doc)
+
+
+def test_loader_takes_integer_coefficients_that_fit_a_float():
+    with pytest.raises(ValueError, match="coefficient of term XX is not finite"):
+        SparseHamiltonian.from_json_dict({"n": 2, "terms": [{"pauli": "XX", "coeff": 10**400}]})
+    h = SparseHamiltonian.from_json_dict({"n": 2, "terms": [{"pauli": "XX", "coeff": 1}]})
+    assert h.terms == {P("XX"): 1.0}
+
+
 # -- distances between coefficient vectors ------------------------------------
 
 

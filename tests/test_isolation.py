@@ -95,6 +95,14 @@ def test_isolation_probability_single_term(rng):
     assert abs(prob - 0.25) < 0.02
 
 
+def test_isolation_probability_beyond_64_qubits(rng):
+    # The same s = 1 case at n = 70, wider than one 64-bit mask.
+    label = "XZY" + "I" * 60 + "ZYXIXYZ"
+    h = H(70, {label: 0.7})
+    prob = isolation_probability_empirical(h, P(label), trials=10_000, rng=rng)
+    assert abs(prob - 0.25) < 0.02
+
+
 def test_isolation_probability_range_and_vectorization_agreement(rng):
     h = random_instance(4, 4, rng)
     p0 = sorted(h.support, key=lambda p: p.sort_key())[0]

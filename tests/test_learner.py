@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hamlearn.hamiltonian import SparseHamiltonian, linf_distance, random_instance
+from hamlearn.isolation import isolation_rounds
 from hamlearn.learner import (
     LearnerParams,
-    _support_draws,
     learn_coeff,
     learn_hamiltonian,
     learn_hamiltonian_opnorm,
@@ -264,61 +264,34 @@ def test_learn_support_seeded_output_is_pinned():
     oracle = EvolutionOracle(h, OracleConfig(), rng=orc)
     found = learn_support(oracle, LearnerParams(s_bound=8, eps=0.05, delta=0.1), lrn)
     assert sorted(p.label for p in found) == [
-        "IXYZZZZZ", "IYZZIIZZ", "IZYYXZIZ", "XIYYIZZX", "XXIXZIIY", "XXXZYYYI",
-        "XXYXXXXY", "XYIYYZZZ", "YIZIZIIX", "YXXZIZZY", "YXXZXIIZ", "YYYZXXYY",
-        "ZIIIZYYZ", "ZXXXYXXZ", "ZXZXIIIZ", "ZZXXZZZI", "ZZYYYXYI",
+        "IXYZZZZZ", "IYZZIIZZ", "IZYYXZIZ", "XXIXZIIY", "XXYXXXXY", "YIZIZIIX",
+        "YXXZXIIZ", "YYXIIZZY", "YYYZXXYY", "ZIIIZYYZ", "ZIXYYIIX", "ZXXXYXXZ",
+        "ZZXXZZZI", "ZZYYYXYI",
     ]  # fmt: skip
     assert oracle.ledger.experiments == 2244
-    assert oracle.ledger.queries == 97255488
-    assert oracle.ledger.total_evolution_time.hex() == "0x1.6e50c07741813p+14"
+    assert oracle.ledger.queries == 95789408
+    assert oracle.ledger.total_evolution_time.hex() == "0x1.6a571e893b6f6p+14"
 
 
-# -- support-round draws -------------------------------------------------------------
+def test_learn_support_empty_window_draws_no_time():
+    # With 1/eps <= pi/4 every round runs at pi/4, and only the bits are drawn.
+    r1, r2 = split_rngs(4, 2)
+    oracle = EvolutionOracle(H(3, {"XYZ": 0.6, "ZZI": -0.4}), OracleConfig(), rng=r1)
+    params = LearnerParams(s_bound=2, eps=1.5, delta=0.2)
+    _, twin = split_rngs(4, 2)
+    learn_support(oracle, params, r2)
+    rounds = support_rounds(params)
+    assert oracle.ledger.total_evolution_time == sum([math.pi / 4] * rounds)
+    twin.integers(0, 2, size=(rounds, isolation_rounds(2), 2, 3), dtype=np.uint8)
+    assert r2.bit_generator.state == twin.bit_generator.state
 
 
-def _assert_draws_match(n, r, t_lo, t_hi, batched, single, rounds=30):
-    bits, times = _support_draws(n, r, rounds, t_lo, t_hi, batched)
-    want_bits, want_times = [], []
-    for _ in range(rounds):
-        want_bits.append(single.integers(0, 2, size=(r, 2 * n)))
-        want_times.append(single.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo)
-    assert bits.dtype == np.uint8 and bits.shape == (rounds, r, 2, n)
-    np.testing.assert_array_equal(bits.reshape(rounds, r, 2 * n), np.stack(want_bits))
-    assert all(type(t) is float for t in times)
-    times_got = np.array(times, dtype=np.float64).view(np.uint64)
-    times_want = np.array(want_times, dtype=np.float64).view(np.uint64)
-    assert times_got.tolist() == times_want.tolist()
-    np.testing.assert_equal(batched.bit_generator.state, single.bit_generator.state)
-
-
-@pytest.mark.parametrize("n", [1, 3, 8, 40, 64, 70])
-def test_support_draws_match_per_round_calls(n):
-    for r in range(1, 8):
-        seed = 100 * n + r
-        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        _assert_draws_match(n, r, math.pi / 4, 20.0, batched, single)
-
-
-@pytest.mark.parametrize("n", [1, 8, 70])
-def test_support_draws_degenerate_window_draws_no_time(n):
-    batched, single = np.random.default_rng(n), np.random.default_rng(n)
-    _assert_draws_match(n, 3, math.pi / 4, 0.5, batched, single)
-    _, times = _support_draws(n, 3, 5, math.pi / 4, 0.5, batched)
-    assert all(t == math.pi / 4 for t in times)
-
-
-def test_support_draws_fall_back_to_per_round_calls():
-    # A generator other than PCG64 ...
-    for n in (1, 8, 70):
-        batched = np.random.Generator(np.random.MT19937(n))
-        single = np.random.Generator(np.random.MT19937(n))
-        _assert_draws_match(n, 4, math.pi / 4, 20.0, batched, single)
-    # ... and a PCG64 generator holding a buffered 32-bit half.
-    batched, single = np.random.default_rng(5), np.random.default_rng(5)
-    for rng in (batched, single):
-        rng.integers(0, 2**32, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-    _assert_draws_match(8, 4, math.pi / 4, 20.0, batched, single)
+def test_learn_support_accepts_any_bit_generator():
+    oracle = make_oracle(H(4, {"XXIZ": 0.7, "IYZI": 0.3}), seed=6)
+    params = LearnerParams(s_bound=2, eps=0.1, delta=0.1)
+    found = learn_support(oracle, params, np.random.Generator(np.random.MT19937(3)))
+    assert oracle.ledger.experiments == support_rounds(params)
+    assert not any(p.is_identity for p in found)
 
 
 # -- composed learner ---------------------------------------------------------------

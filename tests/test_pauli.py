@@ -245,6 +245,25 @@ def test_random_uniforms_match_consecutive_draws(n):
     assert [pl.random_uniform(n, a) for _ in range(5)] == pl.random_uniforms(n, 5, b)
 
 
+@pytest.mark.parametrize("n", [1, 5, 64, 70])
+def test_bit_rows_and_anticommuting_match_scalar_algebra(n):
+    rng = np.random.default_rng(n)
+    strings, terms = _random_strings(rng, n, 12), _random_strings(rng, n, 5)
+    bits = pl.bit_rows(strings, n)
+    assert bits.dtype == np.uint8 and bits.shape == (12, 2, n)
+    assert [tuple(row) for row in pl._pack_bits(bits).tolist()] == [
+        (p.x_bits, p.z_bits) for p in strings
+    ]
+    anti = pl.anticommuting(bits.reshape(3, 4, 2, n), pl.bit_rows(terms, n))
+    assert anti.shape == (3, 4, 5)
+    want = [[pl.symplectic_product(q, p) for p in terms] for q in strings]
+    assert anti.reshape(12, 5).tolist() == np.array(want, dtype=bool).tolist()
+    assert pl.bit_rows([], n).shape == (0, 2, n)
+    assert pl.anticommuting(bits, pl.bit_rows([], n)).shape == (12, 0)
+    with pytest.raises(DimensionMismatchError):
+        pl.bit_rows([PauliString.identity(n + 1)], n)
+
+
 # -- symplectic basis -----------------------------------------------------------
 
 
