@@ -42,12 +42,12 @@ def _load_hamiltonian(path: str) -> SparseHamiltonian:
         _usage_error(f"cannot load Hamiltonian from {path}: {exc}")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _number_list(text: str, flag: str, kind: type) -> list:
+    """Comma-separated numbers of ``flag``; a bad entry is a usage error naming both."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        _usage_error(f"{flag} takes comma-separated numbers: {exc}")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -67,7 +67,7 @@ def _cmd_learn(args) -> int:
         _usage_error("provide exactly one of --hamiltonian or --random")
     if args.random is not None:
         try:
-            n, s, gen_seed = _int_list(args.random)
+            n, s, gen_seed = _number_list(args.random, "--random", int)
         except ValueError:
             _usage_error("--random expects n,s,seed")
         h = random_instance(n, s, np.random.default_rng(gen_seed))
@@ -107,8 +107,9 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_bounds_sweep(args) -> int:
-    if args.max_n < 1:
-        _usage_error(f"--max-n must be >= 1, got {args.max_n}")
+    for flag, value in (("--max-n", args.max_n), ("--trials", args.trials)):
+        if value < 1:
+            _usage_error(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     lines = ["trial,check,lhs,rhs,margin"]
     for trial in range(args.trials):
@@ -142,7 +143,7 @@ def _cmd_bounds_sweep(args) -> int:
 
 
 def _cmd_vv_stats(args) -> int:
-    sizes, rs = _int_list(args.set_size), _int_list(args.r)
+    sizes, rs = _number_list(args.set_size, "--set-size", int), _number_list(args.r, "--r", int)
     for flag, values in (("--set-size", sizes), ("--r", rs)):
         if not values:
             _usage_error(f"{flag} needs at least one value")
@@ -157,11 +158,8 @@ def _cmd_vv_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        s_grid = _int_list(args.s_grid)
-        eps_grid = _float_list(args.eps_grid)
-    except ValueError:
-        _usage_error("sweep grids must be comma-separated numbers")
+    s_grid = _number_list(args.s_grid, "--s-grid", int)
+    eps_grid = _number_list(args.eps_grid, "--eps-grid", float)
     if not s_grid or not eps_grid:
         _usage_error("empty sweep grid")
     # A slope is fitted over any grid with two or more values; check it

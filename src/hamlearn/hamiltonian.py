@@ -251,6 +251,8 @@ def random_instance(
     inside the learning promise ``|h_P| <= coeff_range`` while keeping
     every term detectable above the floor.
     """
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     if not 1 <= s <= 4**n - 1:
         raise ValueError(f"sparsity must be in [1, 4^n - 1], got {s}")
     if not 0 < coeff_floor <= coeff_range < math.inf:

@@ -17,14 +17,12 @@ pairs, b central strings; :func:`pauli.symplectic_basis`); the evolution
 is computed densely on that image and its Pauli amplitudes are lifted
 back, so the cost does not grow with n. In ``trotter`` mode a restricted
 evolution is the symmetric product over the ``2^r`` conjugated summands,
-actually multiplied out on the image of the terms and the drift string,
-which meets the configured diamond-norm budget. In ``exact`` mode it is
-the closed-form Pauli expansion when the restricted terms commute
-pairwise, else the exponential of the restricted Hamiltonian's image
-(:func:`hamiltonian.compress`). The ledger still records the query
-count and time resolution that the second-order product formula would
-need (Trotterization preserves total evolution time, so that counter is
-charged the plain ``t``). Only ``evolve``, ``evolve_restricted`` and
+multiplied out on the image of the terms and the drift string. In
+``exact`` mode it is the closed-form Pauli expansion when the restricted
+terms commute pairwise, else the exponential of the restricted
+Hamiltonian's image (:func:`hamiltonian.compress`). In both modes the
+ledger charges the queries the product formula executes, which sum to
+the charged time ``t``. Only ``evolve``, ``evolve_restricted`` and
 ``pauli_sample`` handle dense n-qubit unitaries.
 
 A support stage is served by one ``sample_support_stage`` call. In exact
@@ -33,10 +31,13 @@ identity, so it is charged and measured from the one amplitude of I
 without simulation; the other rounds are ordinary ``sample_restricted``
 queries.
 
-The product formula takes ``l = ceil(sqrt((R c t)^3 / eps))`` steps for R
-summands of norm at most c (:func:`trotter_steps`); its step constant is
-fixed at 1. A doubling search for a larger constant returned 1 for every
-budget eps in {0.1, 0.01, 0.001} at several seeds, and at constant 1 the
+The product formula takes ``l = ceil(sqrt((L t)^3 / eps))`` steps
+(:func:`trotter_steps`) for ``L = sum_P |h_P|``. Every ``||P|| = 1``, so
+``L >= ||H||``: the bound costs O(s), not a spectrum, and can only add
+steps, so every diamond budget holds. (Commutator scaling would save
+steps at the cost of nested-commutator code.) The step constant is 1: a
+doubling search for a larger one returned 1 for every budget eps in
+{0.1, 0.01, 0.001} at several seeds, and sized from ``||H||`` the
 executed product used under 10% of its diamond budget over 255 random
 cases (n <= 4, r <= 3, t <= 2), in line with the second-order commutator
 bounds of Childs et al., "Theory of Trotter error with commutator scaling"
@@ -117,7 +118,9 @@ class OracleConfig:
     the Choi-state outcome distribution, modeling a combined
     state-preparation and measurement error of the same diamond-norm size.
     ``trotter_epsilon`` is the diamond-norm budget granted to product
-    formulas; their step count :func:`trotter_steps` has constant 1.
+    formulas; their step count :func:`trotter_steps` has constant 1 and is
+    sized from the l1 norm of the hidden coefficients, an upper bound on
+    ``||H||``.
     Dense n-qubit unitaries (``evolve``, ``evolve_restricted``,
     ``pauli_sample``) are capped at ``pauli.DENSE_LIMIT`` qubits; sampling
     and estimation, in either mode, only need the image they run on to fit.
@@ -139,18 +142,19 @@ class OracleConfig:
             raise ValueError("trotter_epsilon must be positive and finite")
 
 
-def trotter_steps(R: int, c: float, t: float, epsilon: float) -> int:
-    """Step count ``l = ceil(sqrt((R c t)^3 / epsilon))`` of the product formula.
+def trotter_steps(norm: float, t: float, epsilon: float) -> int:
+    """Step count ``l = ceil(sqrt((norm t)^3 / epsilon))`` of the product formula.
 
-    R summands of norm <= c; the step constant is 1 (see the module docstring).
-    Raises ValueError when the count is not finite, or ``(R c t)^3`` overflows.
+    ``norm`` bounds the summed operator norms of the formula's summands; the
+    step constant is 1 (see the module docstring). Raises ValueError when
+    the count is not finite, or ``(norm t)^3`` overflows.
     """
     try:
-        steps = math.sqrt((R * c * t) ** 3 / epsilon)
+        steps = math.sqrt((norm * t) ** 3 / epsilon)
     except OverflowError:
         steps = math.inf
     if not math.isfinite(steps):
-        raise ValueError(f"Trotter step count is not finite for R={R}, c={c}, t={t}")
+        raise ValueError(f"Trotter step count is not finite for norm={norm}, t={t}")
     return max(1, math.ceil(steps))
 
 
@@ -242,36 +246,35 @@ class EvolutionOracle:
     # -- internals ------------------------------------------------------
 
     @functools.cached_property
-    def _op_norm(self) -> float:
-        return self.hamiltonian.op_norm()
+    def _norm_bound(self) -> float:
+        """``sum_P |h_P|``, an upper bound on ``||H||`` since every ``||P|| = 1``."""
+        return sum(map(abs, self.hamiltonian.terms.values()))
 
-    def _trotter_schedule(self, r: int, t: float) -> tuple[int, int]:
-        """``(R, l)`` of an r-string restriction at time ``t``.
+    def _trotter_schedule(self, r: int, t: float) -> tuple[int, int, float]:
+        """``(R, l, tau)`` of the product formula for an r-string restriction.
 
-        R = 2^r summands of norm ``||H|| / R``, and the product formula's
-        step count ``l = trotter_steps(R, ||H|| / R, t, trotter_epsilon)``.
+        R = 2^r conjugated summands, ``l = trotter_steps(norm bound, t,
+        trotter_epsilon)`` steps, and each of the ``2 R l`` queries of the
+        product evolves for ``tau = t / (2 R l)``.
         """
         R = 1 << r
-        return R, trotter_steps(R, self._op_norm / R, t, self.config.trotter_epsilon)
+        l = trotter_steps(self._norm_bound, t, self.config.trotter_epsilon)
+        return R, l, t / (2 * R * l)
 
     def _charge_restricted(self, r: int, t: float, executions: int = 1) -> None:
         """Ledger charges of `executions` runs of a restricted evolution.
 
         With ``r == 0`` each run is one query of duration ``t``. Otherwise,
-        with ``(R, l)`` from :meth:`_trotter_schedule`, each run charges
-        evolution time ``t`` (Trotterization preserves total time), ``R l``
-        queries and time resolution ``t / (2 R l)``, in exact and trotter
-        mode alike. The executed product (:meth:`_execute_trotter`) applies
-        ``2 R l`` queries of that duration, summing to ``t``; the charged
-        queries sum to ``t/2``.
+        with ``(R, l, tau)`` from :meth:`_trotter_schedule`, each run charges
+        the ``2 R l`` queries of duration ``tau`` that the product formula
+        (:meth:`_execute_trotter`) applies, in exact and trotter mode alike;
+        they sum to the charged evolution time ``t``.
         """
         if r == 0:
             self.ledger.charge_evolution(executions * t, queries=executions, resolution=t)
             return
-        R, l = self._trotter_schedule(r, t)
-        self.ledger.charge_evolution(
-            executions * t, queries=executions * R * l, resolution=t / (2 * l) / R
-        )
+        R, l, tau = self._trotter_schedule(r, t)
+        self.ledger.charge_evolution(executions * t, queries=executions * 2 * R * l, resolution=tau)
 
     def _simulate(
         self,
@@ -335,14 +338,14 @@ class EvolutionOracle:
 
         The summands are H_S = C_S H C_S / 2^r over subsets S of the
         conjugation strings (C_S the product of the selected Q_i), each
-        implemented as one query to the true evolution at time t/(2^{r+1}l).
+        implemented as one query to the true evolution at time
+        tau = t/(2^{r+1}l) of :meth:`_trotter_schedule`.
         C_S H C_S is H with the terms anticommuting with C_S negated, so every
         factor, and the drift pulse e^{-i theta P_0}, lies in the algebra of
         the span of the terms and P_0. The product runs on that span's
         a + b qubit image; its amplitudes are lifted back in index order.
         """
-        R, l = self._trotter_schedule(len(qs), t)
-        tau = t / (R * 2 * l)
+        R, l, tau = self._trotter_schedule(len(qs), t)
         terms = self.hamiltonian.terms
         basis = pl.symplectic_basis(self.n, [*terms, drift[0]] if drift else terms)
         m = basis.qubits
@@ -358,19 +361,14 @@ class EvolutionOracle:
             factors.append(_evolution(*eigh(pl.dense_sum(m, image)), tau))
         if drift is not None:
             q0, sign0 = basis.encode(drift[0])
-            theta = drift[1] * t / (2 * l)
+            theta = drift[1] * R * tau
             factors.append(
                 math.cos(theta) * np.eye(1 << m) - 1j * math.sin(theta) * sign0 * pl.dense(q0)
             )
 
         # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
-        inner_up = np.eye(1 << m, dtype=complex)
-        for f in factors:
-            inner_up = f @ inner_up
-        inner_down = np.eye(1 << m, dtype=complex)
-        for f in reversed(factors):
-            inner_down = f @ inner_down
-        return basis.lift(pauli_transform(np.linalg.matrix_power(inner_up @ inner_down, l)))
+        block = functools.reduce(np.matmul, [*reversed(factors), *factors])
+        return basis.lift(pauli_transform(np.linalg.matrix_power(block, l)))
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------
 

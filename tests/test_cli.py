@@ -188,9 +188,23 @@ def test_empty_or_out_of_range_flags_are_usage_errors(capsys):
         (["bounds-sweep", "--max-n", "0"], "--max-n"),
         (["vv-stats", "--set-size", "", "--r", "2"], "--set-size"),
         (["vv-stats", "--set-size", "4", "--r", ","], "--r"),
+        (["bounds-sweep", "--trials", "-1"], "--trials"),
+        (["bounds-sweep", "--trials", "0"], "--trials"),
+        (["gen", "--n", "0", "--s", "1"], "qubit count must be positive"),
     ):
         assert exit_code(argv) == 2
         assert flag in capsys.readouterr().err
+    # A bad list entry is named together with its flag.
+    for argv, flag, token in (
+        (["vv-stats", "--set-size", "a", "--r", "2"], "--set-size", "'a'"),
+        (["vv-stats", "--set-size", "4", "--r", "2,x"], "--r", "'x'"),
+        (["bench", "--s-grid", "a"], "--s-grid", "'a'"),
+        (["bench", "--eps-grid", "0.1,zz"], "--eps-grid", "'zz'"),
+        (["learn", "--random", "a,3,1"], "--random", "'a'"),
+    ):
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and token in err
 
 
 def test_bounds_sweep_rows():
@@ -266,7 +280,7 @@ PINNED_LEARN_HEADER = (
 PINNED_LEDGER = """{
   "experiments": 87616543494,
   "total_time": 6023640947.018407,
-  "queries": 179438682171792,
+  "queries": 358877364343584,
   "min_resolution": 3.0517578125e-06,
   "ancilla": 4
 }
@@ -276,21 +290,21 @@ PINNED = [
         ["learn", "--random", "4,3,7", "--eps", "0.1", "--delta", "0.2", "--seed", "1"],
         PINNED_LEARN_HEADER
         + "1,1,0.000246346758089,0.000362878637522,87616543494,6023640947.02,"
-        "179438682171792,3.0517578125e-06\n",
+        "358877364343584,3.0517578125e-06\n",
         PINNED_LEDGER,
     ),
     (
         ["learn", "--random", "3,3,5", "--spam", "0.05", "--seed", "2"],
         PINNED_LEARN_HEADER
         + "2,1,0.00443783368404,0.00759343960204,536838799883,36907675591.7,"
-        "13193350337197072,3.81469726563e-07\n",
+        "26386700679415872,3.81469726563e-07\n",
         None,
     ),
     (
         ["learn", "--random", "3,2,9", "--eps", "0.2", "--mode", "trotter", "--seed", "3"],
         PINNED_LEARN_HEADER
         + "3,1,0.000909688499157,0.00106144572505,15121307865,189017717.902,"
-        "15484219059248,6.103515625e-06\n",
+        "30968438510592,6.103515625e-06\n",
         None,
     ),
     (
@@ -299,13 +313,13 @@ PINNED = [
         "s,eps,seed,success,linf_error,l1_error,op_error,experiments,total_time,queries,"
         "min_resolution,ancilla\n"
         "2,0.1,11,1,0.000393747029509,0.000472060021761,0.000401459397701,1058647012,"
-        "72782321.6703,1084054575784,6.103515625e-06,5\n"
+        "72782321.6703,2168109281792,6.103515625e-06,5\n"
         "2,0.1,12,1,0.00416563376339,0.0067086538905,0.0067086538905,1058647012,"
-        "72782311.0705,1084054510816,6.103515625e-06,5\n"
+        "72782311.0705,2168109021632,6.103515625e-06,5\n"
         "4,0.1,13,1,0.00320530838631,0.00903412889743,0.00685285547805,3021930201,"
-        "207758451.592,18566739029488,1.52587890625e-06,5\n"
+        "207758451.592,37133479206208,1.52587890625e-06,5\n"
         "4,0.1,14,1,0.000468589081372,0.00079614569235,0.000704635826618,3715930893,"
-        "255471006.501,22830679660992,1.52587890625e-06,5\n"
+        "255471006.501,45661359860576,1.52587890625e-06,5\n"
         "# slope_experiments_vs_s_ln_s,0.835035\n",
         None,
     ),

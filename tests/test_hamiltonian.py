@@ -258,6 +258,13 @@ def test_random_instance_bad_sparsity():
         random_instance(2, 0, rng)
 
 
+def test_random_instance_checks_qubit_count_first():
+    # n = 0 would otherwise be reported as a sparsity outside [1, 0].
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            random_instance(n, 1, np.random.default_rng(0))
+
+
 # -- serialization ---------------------------------------------------------------
 
 

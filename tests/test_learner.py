@@ -269,7 +269,7 @@ def test_learn_support_seeded_output_is_pinned():
         "ZZXXZZZI", "ZZYYYXYI",
     ]  # fmt: skip
     assert oracle.ledger.experiments == 2244
-    assert oracle.ledger.queries == 95789408
+    assert oracle.ledger.queries == 343128768
     assert oracle.ledger.total_evolution_time.hex() == "0x1.6a571e893b6f6p+14"
 
 
@@ -312,6 +312,32 @@ def test_learn_hamiltonian_three_terms():
         )
         ok += good
     assert ok >= 0.9 * runs
+
+
+def test_learner_never_takes_the_whole_spectrum(monkeypatch):
+    # Product formulas are sized from the l1 norm of the coefficients, so no
+    # query diagonalises all s terms at once; the image of 32 terms at
+    # n = 40 is far wider than any dense computation could take.
+    import importlib.resources as res
+    import json
+
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def no_spectrum(self):
+        raise AssertionError("op_norm called during learning")
+
+    truth = random_instance(40, 32, np.random.default_rng(1))
+    monkeypatch.setattr(SparseHamiltonian, "op_norm", no_spectrum)
+    oracle = EvolutionOracle(truth, OracleConfig(), rng=np.random.default_rng(2))
+    params = LearnerParams(s_bound=32, eps=0.05, delta=0.1)
+    result = learn_hamiltonian(oracle, params, np.random.default_rng(3))
+    assert linf_distance(truth, result.hamiltonian) <= 0.05
+    assert result.hamiltonian.support <= truth.support
+    doc = result.ledger.to_json_dict()
+    assert doc["queries"] > 2**63
+    schema = json.loads(res.files("hamlearn").joinpath("schemas/ledger.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    assert json.loads(json.dumps(doc))["queries"] == result.ledger.queries
 
 
 def test_learn_hamiltonian_zero():

@@ -82,12 +82,12 @@ def test_config_validation():
 
 
 def test_trotter_plan_arithmetic():
-    assert trotter_steps(4, 0.5, 2.0, 0.01) == math.ceil(math.sqrt((4 * 0.5 * 2.0) ** 3 / 0.01))
-    assert trotter_steps(1, 0.0, 0.0, 1.0) == 1
-    # (R c t)^3 overflowing, an infinite norm and a NaN all raise, not OverflowError.
-    for c in (1e307, math.inf, math.nan):
+    assert trotter_steps(2.0, 2.0, 0.01) == math.ceil(math.sqrt((2.0 * 2.0) ** 3 / 0.01))
+    assert trotter_steps(0.0, 0.0, 1.0) == 1
+    # (norm t)^3 overflowing, an infinite norm and a NaN all raise, not OverflowError.
+    for norm in (1e307, math.inf, math.nan):
         with pytest.raises(ValueError, match="not finite"):
-            trotter_steps(8, c, 10.0, 0.01)
+            trotter_steps(norm, 10.0, 0.01)
 
 
 # -- evolve --------------------------------------------------------------------
@@ -211,9 +211,10 @@ def test_restricted_ledger_accounting():
     r, t = 2, 1.5
     qs = [P("XI"), P("IZ")]
     oracle.evolve_restricted(qs, t)
-    l = trotter_steps(4, h.op_norm() / 4, t, 0.01)
+    # Steps are sized from the l1 norm; each of the 2 R l queries lasts t / (2 R l).
+    l = trotter_steps(0.5 + 0.3, t, 0.01)
     assert oracle.ledger.total_evolution_time == pytest.approx(t)
-    assert oracle.ledger.queries == (1 << r) * l
+    assert oracle.ledger.queries == 2 * (1 << r) * l
     assert oracle.ledger.min_time_resolution == pytest.approx(t / ((1 << (r + 1)) * l))
     # Total time adds up across calls regardless of the Trotter overhead.
     oracle.evolve_restricted(qs, 0.5)
@@ -279,7 +280,7 @@ def _kron_trotter(h, qs, t, drift, epsilon):
     """
     dense_h = kron_hamiltonian({p.label: c for p, c in h})
     R = 1 << len(qs)
-    l = trotter_steps(R, h.op_norm() / R, t, epsilon)
+    l = trotter_steps(sum(abs(c) for _, c in h), t, epsilon)
     factors = []
     for subset in range(R):
         c = np.eye(2**h.n, dtype=complex)
@@ -730,7 +731,7 @@ def test_estimate_charges_all_shots():
     led = oracle.ledger
     assert led.experiments == 500
     assert led.total_evolution_time == pytest.approx(500 * 1.0)
-    assert led.queries == 500 * 2 * trotter_steps(2, h.op_norm() / 2, 1.0, 0.01)
+    assert led.queries == 500 * 2 * 2 * trotter_steps(0.5 + 0.3, 1.0, 0.01)
     assert led.ancilla_qubits == 2
 
 
