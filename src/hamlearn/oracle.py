@@ -25,11 +25,12 @@ ledger charges the queries the product formula executes, which sum to
 the charged time ``t``. Only ``evolve``, ``evolve_restricted`` and
 ``pauli_sample`` handle dense n-qubit unitaries.
 
-A support stage is served by one ``sample_support_stage`` call. In exact
-mode a round in which no term survives the restriction evolves by the
-identity, so it is charged and measured from the one amplitude of I
-without simulation; the other rounds are ordinary ``sample_restricted``
-queries.
+A support stage is one ``sample_support_stage`` call, which groups its
+rounds by the terms that survive the restriction. In exact mode each class
+whose survivors commute pairwise (the empty one included) is settled in
+closed form at all of its times at once, its outcomes drawn by one batched
+inverse CDF; rounds whose survivors anticommute, and every round in
+trotter mode, are ordinary ``sample_restricted`` queries.
 
 The product formula takes ``l = ceil(sqrt((L t)^3 / eps))`` steps
 (:func:`trotter_steps`) for ``L = sum_P |h_P|``. Every ``||P|| = 1``, so
@@ -202,6 +203,19 @@ def _evolution(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Row-wise CDF of squared Pauli amplitudes, after the Parseval check.
+
+    ``Generator.choice(p=probs / total)`` inverts the same CDF, so seeded
+    outcomes match it bit for bit.
+    """
+    total = probs.sum(axis=-1, keepdims=True)
+    if not (abs(total - 1.0) <= 1e-8).all():
+        raise ValueError("Pauli coefficients of input violate Parseval identity")
+    cdf = np.cumsum(probs / total, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 def _compressed_amplitudes(h: SparseHamiltonian, t: float) -> dict[PauliString, complex]:
     """Nonzero Pauli amplitudes of ``e^{-itH}`` in ``PauliString.index`` order.
 
@@ -261,19 +275,19 @@ class EvolutionOracle:
         l = trotter_steps(self._norm_bound, t, self.config.trotter_epsilon)
         return R, l, t / (2 * R * l)
 
-    def _charge_restricted(self, r: int, t: float, executions: int = 1) -> None:
+    def _charge_restricted(self, r: int, t: float, executions: int = 1, schedule=None) -> None:
         """Ledger charges of `executions` runs of a restricted evolution.
 
         With ``r == 0`` each run is one query of duration ``t``. Otherwise,
-        with ``(R, l, tau)`` from :meth:`_trotter_schedule`, each run charges
-        the ``2 R l`` queries of duration ``tau`` that the product formula
-        (:meth:`_execute_trotter`) applies, in exact and trotter mode alike;
-        they sum to the charged evolution time ``t``.
+        with ``(R, l, tau)`` = ``schedule`` or :meth:`_trotter_schedule`, each
+        run charges the ``2 R l`` queries of duration ``tau`` that the product
+        formula (:meth:`_execute_trotter`) applies, in exact and trotter mode
+        alike; they sum to the charged evolution time ``t``.
         """
         if r == 0:
             self.ledger.charge_evolution(executions * t, queries=executions, resolution=t)
             return
-        R, l, tau = self._trotter_schedule(r, t)
+        R, l, tau = schedule or self._trotter_schedule(r, t)
         self.ledger.charge_evolution(executions * t, queries=executions * 2 * R * l, resolution=tau)
 
     def _simulate(
@@ -285,7 +299,8 @@ class EvolutionOracle:
     ) -> np.ndarray | dict[PauliString, complex]:
         """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
 
-        Checks the query and charges nothing. Returns the dict of nonzero
+        Checks the query (``sum_P |h_P| t`` must be finite, so no angle
+        overflows) and charges nothing. Returns the dict of nonzero
         Pauli amplitudes: of the executed product formula in trotter mode
         with ``qs`` (:meth:`_execute_trotter`), else in closed form when the
         restricted terms commute pairwise, else from the compressed
@@ -293,8 +308,8 @@ class EvolutionOracle:
         returns the dense n-qubit unitary instead, capped at
         ``pauli.DENSE_LIMIT`` qubits.
         """
-        if not 0 <= t < math.inf:
-            raise ValueError(f"evolution time must be finite and non-negative, got {t}")
+        if not 0 <= t < math.inf or math.isinf(self._norm_bound * t):
+            raise ValueError(f"evolution time {t} is negative or makes sum |h_P| t non-finite")
         if drift is not None and not abs(drift[1]) <= 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
         if self.config.mode == "trotter" and qs:
@@ -382,17 +397,8 @@ class EvolutionOracle:
         lam = self.config.spam_lambda
         if lam > 0.0 and self.rng.random() < lam:
             return pl.random_uniform(self.n, self.rng)
-        total = probs.sum() if probs.size > 1 else probs[0]
-        if not abs(total - 1.0) <= 1e-8:
-            raise ValueError("Pauli coefficients of input violate Parseval identity")
-        # The inverse-CDF draw Generator.choice(p=probs / total) makes, from
-        # the same single uniform, so seeded outcomes match it bit for bit.
-        x = self.rng.random()
-        if probs.size == 1:
-            return outcome(0)
-        cdf = np.cumsum(probs / total)
-        cdf /= cdf[-1]
-        return outcome(int(cdf.searchsorted(x, side="right")))
+        cdf = _cdf(probs)
+        return outcome(int(cdf.searchsorted(self.rng.random(), side="right")))
 
     def pauli_sample(self, u: np.ndarray) -> PauliString:
         """Sample P with probability ``(1-lam)|u_P|^2 + lam 4^{-n}``.
@@ -433,7 +439,7 @@ class EvolutionOracle:
         return self._measure(np.array([abs(amp) ** 2 for amp in u.values()]), list(u).__getitem__)
 
     def sample_support_stage(self, bits: np.ndarray, times: Sequence[float]) -> list[PauliString]:
-        """One :meth:`sample_restricted` experiment per round of a support stage.
+        """The outcomes of :meth:`sample_restricted` on every round of a support stage.
 
         ``bits`` is the (T, r, 2, n) 0/1 ``uint8`` array of each round's r
         conjugation strings (:func:`pauli.bit_rows` layout); round k evolves
@@ -443,12 +449,16 @@ class EvolutionOracle:
 
         A term survives a round iff it commutes with all r strings (the rule
         of :meth:`SparseHamiltonian.restrict`), decided for all rounds by
-        :func:`pauli.anticommuting`. In exact mode a round with no survivor
-        evolves by the identity: it is charged as ``sample_restricted``
-        would charge it and measured from the one amplitude of I (the same
-        SPAM and outcome draws), with no string built and nothing
-        simulated. In trotter mode, where the product of an empty
-        restriction is not exactly I, every round is a ``sample_restricted``.
+        :func:`pauli.anticommuting`; rounds with the same survivors form a
+        class. In exact mode a class whose survivors commute pairwise (the
+        empty class included) is settled in closed form: one
+        :meth:`_structured_amplitudes` call gives its amplitudes at all of
+        its times, and every row passes the Parseval check before anything
+        is charged. Without SPAM each round draws one uniform, so a run of
+        settled rounds draws them in one call and a class inverts its CDFs
+        at once. The other rounds, and every round in trotter mode (where
+        not even an empty restriction is exactly I), stay ordinary
+        ``sample_restricted`` queries.
         """
         bits = np.asarray(bits)
         rounds = len(times)
@@ -458,34 +468,64 @@ class EvolutionOracle:
             )
         if bits.dtype != np.uint8 or bits.max(initial=0) > 1:
             raise ValueError("support bits must be a 0/1 uint8 array")
-        if not all(0.0 <= t < math.inf for t in times):
+        at = np.asarray(times, dtype=float)
+        if not ((0.0 <= at) & (at < math.inf)).all():
             raise ValueError("evolution times must be finite and non-negative")
         r = bits.shape[1]
+        # Every schedule first, so a non-finite step count raises before anything runs.
+        schedules = [self._trotter_schedule(r, t) if r else None for t in times]
 
-        anti = pl.anticommuting(bits, pl.bit_rows(self.hamiltonian.terms, self.n))
-        # Trotter mode simulates every round, the empty ones included.
-        busy = (~anti.any(axis=1)).any(axis=1) | (self.config.mode == "trotter")
+        queried, settled = np.ones(rounds, dtype=bool), []
+        if self.config.mode == "exact" and rounds:
+            terms = list(self.hamiltonian.terms.items())
+            survive = ~pl.anticommuting(bits, pl.bit_rows(self.hamiltonian.terms, self.n)).any(1)
+            # One integer label per survivor row, so a 1-D unique finds the classes.
+            labels = pl._pack_bits(survive.view(np.uint8))
+            _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+            for rows in np.split(inverse.argsort(kind="stable"), counts.cumsum()[:-1]):
+                kept = [terms[j] for j in np.flatnonzero(survive[rows[0]])]
+                amps = self._structured_amplitudes(kept, at[rows])
+                if amps is not None:
+                    probs = np.abs(np.stack(list(amps.values()), axis=1)) ** 2
+                    settled.append((rows, list(amps).__getitem__, probs, _cdf(probs)))
+                    queried[rows] = False
 
-        masks = iter(pl._pack_bits(bits[busy]).tolist())
-        one, identity = np.ones(1), [PauliString.identity(self.n)].__getitem__
-        outcomes = []
-        for t, has_survivor in zip(times, busy.tolist()):
-            if has_survivor:
-                qs = [pl._unchecked(self.n, x, z) for x, z in next(masks)]
-                outcomes.append(self.sample_restricted(qs, t))
+        lam = self.config.spam_lambda
+        # A SPAM draw may take more than one value, so such rounds are measured one by one.
+        alone = {
+            i: (p, key) for rows, key, ps, _ in settled if lam for i, p in zip(rows.tolist(), ps)
+        }
+        masks = iter(pl._pack_bits(bits[queried]).tolist())
+        outcomes, x, start = [None] * rounds, np.empty(rounds), 0
+        for i, (t, schedule, query) in enumerate(zip(times, schedules, queried.tolist())):
+            if query:
+                if not lam:
+                    x[start:i] = self.rng.random(i - start)
+                qs = [pl._unchecked(self.n, a, b) for a, b in next(masks)]
+                outcomes[i], start = self.sample_restricted(qs, t), i + 1
             else:
-                self._charge_restricted(r, t)
-                outcomes.append(self._measure(one, identity))
+                self._charge_restricted(r, t, schedule=schedule)
+                if lam:
+                    outcomes[i] = self._measure(*alone[i])
+                else:
+                    self.ledger.charge_experiment(1, ancilla=self.n)
+        if not lam:
+            x[start:] = self.rng.random(rounds - start)
+            for rows, key, _, cdf in settled:
+                # The searchsorted of _measure, for a whole class at once.
+                for i, j in zip(rows.tolist(), (cdf <= x[rows, None]).sum(axis=1).tolist()):
+                    outcomes[i] = key(j)
         return outcomes
 
     def _structured_amplitudes(
-        self, terms: list[tuple[PauliString, float]], t: float
+        self, terms: list[tuple[PauliString, float]], t: float | np.ndarray
     ) -> dict[PauliString, complex] | None:
         """Pauli amplitudes of ``e^{-itH}`` for mutually commuting terms.
 
         Expands ``prod_k (cos(h_k t) I - i sin(h_k t) P_k)`` with exact
-        phase tracking; returns None when the term set is too large or not
-        pairwise commuting.
+        phase tracking; for an array of times each amplitude is the array of
+        its values at those times. Returns None when the term set is too
+        large or not pairwise commuting.
         """
         if len(terms) > _STRUCTURED_TERM_CAP:
             return None
@@ -493,11 +533,11 @@ class EvolutionOracle:
             for j in range(i + 1, len(terms)):
                 if pl.symplectic_product(terms[i][0], terms[j][0]):
                     return None
-        amps: dict[PauliString, complex] = {PauliString.identity(self.n): 1.0 + 0.0j}
+        amps = {PauliString.identity(self.n): np.ones(np.shape(t), dtype=complex)}
         for p, c in terms:
-            cos_a = math.cos(c * t)
-            sin_a = math.sin(c * t)
-            nxt: dict[PauliString, complex] = {}
+            cos_a = np.cos(c * t)
+            sin_a = np.sin(c * t)
+            nxt = {}
             for q, amp in amps.items():
                 nxt[q] = nxt.get(q, 0.0) + amp * cos_a
                 rq, phase = pl.multiply(p, q)

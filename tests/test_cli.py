@@ -5,10 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hamlearn import cli
-from hamlearn.hamiltonian import SparseHamiltonian
+from hamlearn.errors import CapacityError
+from hamlearn.hamiltonian import SparseHamiltonian, random_instance
 
 
 def run_cli(*args, cwd=None):
@@ -171,6 +173,23 @@ def test_distance_beyond_dense_cap(tmp_path):
             assert doc["value"] >= gap * min(budget, quarter) * quarter - doc["grid_error"] - 1e-9
         else:
             assert doc["value"] <= 0.5 * budget * gap + doc["grid_error"] + 1e-9
+
+
+def test_learn_beyond_dense_cap_reports_certified_op_error(tmp_path):
+    # truth - learned spans 13 image qubits here, past the dense cap, so
+    # op_error is the certified bound sum_P |Delta_P| instead of an exit 3.
+    learned = tmp_path / "learned.json"
+    proc = run_cli("learn", "--random", "40,24,1", "--seed", "1", "--out", str(learned))
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.strip().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert rec["success"] == "1"
+    truth = random_instance(40, 24, np.random.default_rng(1))
+    delta = truth - SparseHamiltonian.load(learned)
+    with pytest.raises(CapacityError):
+        delta.op_norm()
+    assert float(rec["op_error"]) == pytest.approx(sum(map(abs, delta.terms.values())), rel=1e-11)
+    assert float(rec["op_error"]) >= float(rec["linf_error"])
 
 
 def test_vv_stats_csv():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,20 @@ def test_rejected_sample_restricted_charges_nothing():
         assert oracle.ledger == ResourceLedger()
 
 
+@pytest.mark.parametrize("labelled", [{"X": 1e300}, {"X": 1e300, "Z": 0.3}])
+def test_overflowing_evolution_is_rejected_untouched(labelled):
+    # |h_P| t overflows: the closed form and the compressed exponential would
+    # both give NaN amplitudes, so the query is refused before it runs.
+    oracle = make_oracle(H(1, labelled))
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(ValueError, match="evolution time"):
+        oracle.estimate_pauli_coeff_magnitude([], None, P("X"), 1e10, shots=100)
+    with pytest.raises(ValueError, match="evolution time"):
+        oracle.sample_restricted([], 1e10)
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
+
+
 # -- support stages --------------------------------------------------------------
 
 
@@ -558,6 +573,10 @@ def _round_strings(n, rows):
 
 def _exact_ledger(ledger):
     return {k: v.hex() if isinstance(v, float) else v for k, v in vars(ledger).items()}
+
+
+# Stages below whose anticommuting survivor sets fall between settled rounds.
+_MIXED_STAGES = {(3, 2), (7, 4)}
 
 
 @pytest.mark.parametrize(
@@ -573,6 +592,10 @@ def _exact_ledger(ledger):
         (3, 0, {"spam_lambda": 0.05}),
         (5, 8, {"mode": "trotter"}),
         (40, 8, {"mode": "trotter"}),
+        (3, 2, {}),
+        (7, 4, {}),
+        (3, 2, {"spam_lambda": 0.05}),
+        (7, 4, {"spam_lambda": 0.05}),
     ],
 )
 def test_support_stage_matches_per_round_sampling(n, s, cfg, monkeypatch):
@@ -604,9 +627,39 @@ def test_support_stage_matches_per_round_sampling(n, s, cfg, monkeypatch):
     assert staged.ledger.experiments == 40
     np.testing.assert_equal(staged.rng.bit_generator.state, looped.rng.bit_generator.state)
     busy = [t for qs, t in zip(rounds, times) if truth.restrict(qs)]
-    assert calls == (times if cfg.get("mode") == "trotter" else busy)
+    assert calls == [
+        t
+        for qs, t in zip(rounds, times)
+        if cfg.get("mode") == "trotter"
+        or looped._structured_amplitudes(list(truth.restrict(qs).terms.items()), t) is None
+    ]
     if not cfg and s:
         assert 0 < len(busy) < 40
+    if (n, s) in _MIXED_STAGES:
+        assert 0 < len(calls) < len(busy)
+
+
+def test_empty_support_stage_touches_nothing():
+    oracle = make_oracle(H(2, {"XX": 0.5, "ZI": 0.3}))
+    state = oracle.rng.bit_generator.state
+    assert oracle.sample_support_stage(np.zeros((0, 2, 2, 2), dtype=np.uint8), []) == []
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_support_stage_rejects_infinite_step_count_untouched(mode):
+    # sum |h_P| t overflows the step count: the stage raises before it
+    # simulates, charges or draws anything, and numpy warns of nothing.
+    oracle = make_oracle(H(2, {"XX": 1e200, "ZZ": 0.5, "XI": -1e200}), mode=mode)
+    state = oracle.rng.bit_generator.state
+    bits = np.random.default_rng(4).integers(0, 2, size=(12, 2, 2, 2), dtype=np.uint8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Trotter step count is not finite"):
+            oracle.sample_support_stage(bits, [0.0, *[1.5] * 11])
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
 
 
 def test_support_stage_rejects_bad_input():
