@@ -1,28 +1,8 @@
-"""Small statistics helpers for Monte-Carlo checks and scaling fits."""
+"""Small statistics helpers for scaling fits."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# Two-sided 99% normal quantile, used for Wilson score intervals.
-Z_99 = 2.5758293035489004
-
-
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def wilson_lower(successes: int, trials: int, z: float = Z_99) -> float:
-    return wilson_interval(successes, trials, z)[0]
 
 
 def loglog_slope(xs, ys) -> float:

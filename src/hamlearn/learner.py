@@ -137,7 +137,9 @@ def learn_support(
     (T, r, 2, n) bit array and their times by one ``rng.uniform`` call
     (every time is pi/4, with no draw, when 1/eps <= pi/4). The whole stage
     is one :meth:`EvolutionOracle.sample_support_stage` call, which settles
-    the rounds in which no term survives without simulating them.
+    every round whose surviving terms commute pairwise in closed form, a
+    class of rounds at a time, and charges the settled rounds to the ledger
+    a run at a time, in round order.
     """
     r, rounds = isolation_rounds(params.s_bound), support_rounds(params)
     bits = rng.integers(0, 2, size=(rounds, r, 2, oracle.n), dtype=np.uint8)

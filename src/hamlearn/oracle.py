@@ -30,7 +30,8 @@ rounds by the terms that survive the restriction. In exact mode each class
 whose survivors commute pairwise (the empty one included) is settled in
 closed form at all of its times at once, its outcomes drawn by one batched
 inverse CDF; rounds whose survivors anticommute, and every round in
-trotter mode, are ordinary ``sample_restricted`` queries.
+trotter mode, are ordinary ``sample_restricted`` queries. Each run of
+settled rounds between two queries is charged at once, in round order.
 
 The product formula takes ``l = ceil(sqrt((L t)^3 / eps))`` steps
 (:func:`trotter_steps`) for ``L = sum_P |h_P|``. Every ``||P|| = 1``, so
@@ -79,8 +80,19 @@ class ResourceLedger:
     min_time_resolution: float = math.inf
     ancilla_qubits: int = 0
 
-    def charge_evolution(self, t: float, queries: int, resolution: float):
-        self.total_evolution_time += t
+    def charge_evolution(self, t: float | np.ndarray, queries: int, resolution):
+        """Charge evolution time, queries and a time resolution.
+
+        For a run of evolutions ``t`` and ``resolution`` are arrays: the times
+        are added one at a time in order, as separate charges add them, and
+        the smallest positive resolution counts.
+        """
+        if isinstance(t, np.ndarray):
+            running = np.add.accumulate(np.append(self.total_evolution_time, t))
+            self.total_evolution_time = float(running[-1])
+            resolution = float(np.min(resolution, initial=math.inf, where=resolution > 0))
+        else:
+            self.total_evolution_time += t
         self.queries += queries
         if resolution > 0:
             self.min_time_resolution = min(self.min_time_resolution, resolution)
@@ -143,13 +155,24 @@ class OracleConfig:
             raise ValueError("trotter_epsilon must be positive and finite")
 
 
-def trotter_steps(norm: float, t: float, epsilon: float) -> int:
+def trotter_steps(norm: float, t: float | np.ndarray, epsilon: float) -> int | np.ndarray:
     """Step count ``l = ceil(sqrt((norm t)^3 / epsilon))`` of the product formula.
 
     ``norm`` bounds the summed operator norms of the formula's summands; the
     step constant is 1 (see the module docstring). Raises ValueError when
-    the count is not finite, or ``(norm t)^3`` overflows.
+    the count is not finite, or ``(norm t)^3`` overflows. For an array of
+    times it returns the same integers as a float array (exact: each is a
+    float's ceiling).
     """
+    if isinstance(t, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.sqrt((norm * t) ** 3 / epsilon)
+            # numpy's SIMD power may differ from libm's in the last bits, so the
+            # counts that could move, and the non-finite ones, take the scalar rule.
+            unsure = ~(np.abs(steps - np.rint(steps)) > 2.0**-40 * steps)
+        counts = np.maximum(1.0, np.ceil(steps))
+        counts[unsure] = [trotter_steps(norm, x, epsilon) for x in t[unsure].tolist()]
+        return counts
     try:
         steps = math.sqrt((norm * t) ** 3 / epsilon)
     except OverflowError:
@@ -264,31 +287,37 @@ class EvolutionOracle:
         """``sum_P |h_P|``, an upper bound on ``||H||`` since every ``||P|| = 1``."""
         return sum(map(abs, self.hamiltonian.terms.values()))
 
-    def _trotter_schedule(self, r: int, t: float) -> tuple[int, int, float]:
+    def _trotter_schedule(self, r: int, t: float | np.ndarray) -> tuple:
         """``(R, l, tau)`` of the product formula for an r-string restriction.
 
         R = 2^r conjugated summands, ``l = trotter_steps(norm bound, t,
         trotter_epsilon)`` steps, and each of the ``2 R l`` queries of the
-        product evolves for ``tau = t / (2 R l)``.
+        product evolves for ``tau = t / (2 R l)``. For an array of times
+        ``l`` and ``tau`` are arrays.
         """
         R = 1 << r
         l = trotter_steps(self._norm_bound, t, self.config.trotter_epsilon)
         return R, l, t / (2 * R * l)
 
-    def _charge_restricted(self, r: int, t: float, executions: int = 1, schedule=None) -> None:
+    def _charge_restricted(self, r: int, t, executions: int = 1, schedule=None) -> None:
         """Ledger charges of `executions` runs of a restricted evolution.
 
         With ``r == 0`` each run is one query of duration ``t``. Otherwise,
         with ``(R, l, tau)`` = ``schedule`` or :meth:`_trotter_schedule`, each
         run charges the ``2 R l`` queries of duration ``tau`` that the product
         formula (:meth:`_execute_trotter`) applies, in exact and trotter mode
-        alike; they sum to the charged evolution time ``t``.
+        alike; they sum to the charged evolution time ``t``. An array ``t`` is
+        a run of single evolutions, charged at once; its queries are summed
+        as exact Python integers.
         """
         if r == 0:
-            self.ledger.charge_evolution(executions * t, queries=executions, resolution=t)
-            return
-        R, l, tau = schedule or self._trotter_schedule(r, t)
-        self.ledger.charge_evolution(executions * t, queries=executions * 2 * R * l, resolution=tau)
+            queries, resolution = executions * np.size(t), t
+        else:
+            R, l, resolution = schedule or self._trotter_schedule(r, t)
+            if isinstance(l, np.ndarray):
+                l = sum(map(int, l.tolist()))
+            queries = executions * 2 * R * l
+        self.ledger.charge_evolution(executions * t, queries, resolution)
 
     def _simulate(
         self,
@@ -454,11 +483,12 @@ class EvolutionOracle:
         empty class included) is settled in closed form: one
         :meth:`_structured_amplitudes` call gives its amplitudes at all of
         its times, and every row passes the Parseval check before anything
-        is charged. Without SPAM each round draws one uniform, so a run of
-        settled rounds draws them in one call and a class inverts its CDFs
-        at once. The other rounds, and every round in trotter mode (where
-        not even an empty restriction is exactly I), stay ordinary
-        ``sample_restricted`` queries.
+        is charged. Each run of settled rounds between two queries is charged
+        at once, in round order, and without SPAM draws its uniforms in one
+        call; a class then inverts its CDFs and picks its outcomes from an
+        array of its strings at once. The other rounds, and every round in
+        trotter mode (where not even an empty restriction is exactly I), stay
+        ordinary ``sample_restricted`` queries.
         """
         bits = np.asarray(bits)
         rounds = len(times)
@@ -472,8 +502,13 @@ class EvolutionOracle:
         if not ((0.0 <= at) & (at < math.inf)).all():
             raise ValueError("evolution times must be finite and non-negative")
         r = bits.shape[1]
-        # Every schedule first, so a non-finite step count raises before anything runs.
-        schedules = [self._trotter_schedule(r, t) if r else None for t in times]
+        # Every step count and _simulate's rule first, so a bad round raises before anything runs.
+        R, steps, taus = self._trotter_schedule(r, at) if r else (1, None, None)
+        with np.errstate(over="ignore"):
+            overflow = np.isinf(self._norm_bound * at)
+        if overflow.any():
+            t = times[int(overflow.argmax())]
+            raise ValueError(f"evolution time {t} is negative or makes sum |h_P| t non-finite")
 
         queried, settled = np.ones(rounds, dtype=bool), []
         if self.config.mode == "exact" and rounds:
@@ -486,36 +521,42 @@ class EvolutionOracle:
                 kept = [terms[j] for j in np.flatnonzero(survive[rows[0]])]
                 amps = self._structured_amplitudes(kept, at[rows])
                 if amps is not None:
+                    strings = np.array(list(amps), dtype=object)
                     probs = np.abs(np.stack(list(amps.values()), axis=1)) ** 2
-                    settled.append((rows, list(amps).__getitem__, probs, _cdf(probs)))
+                    settled.append((rows, strings, probs, _cdf(probs)))
                     queried[rows] = False
 
         lam = self.config.spam_lambda
         # A SPAM draw may take more than one value, so such rounds are measured one by one.
         alone = {
-            i: (p, key) for rows, key, ps, _ in settled if lam for i, p in zip(rows.tolist(), ps)
+            i: (p, strings.__getitem__)
+            for rows, strings, ps, _ in settled
+            if lam
+            for i, p in zip(rows.tolist(), ps)
         }
         masks = iter(pl._pack_bits(bits[queried]).tolist())
-        outcomes, x, start = [None] * rounds, np.empty(rounds), 0
-        for i, (t, schedule, query) in enumerate(zip(times, schedules, queried.tolist())):
-            if query:
-                if not lam:
-                    x[start:i] = self.rng.random(i - start)
-                qs = [pl._unchecked(self.n, a, b) for a, b in next(masks)]
-                outcomes[i], start = self.sample_restricted(qs, t), i + 1
-            else:
-                self._charge_restricted(r, t, schedule=schedule)
+        outcomes, x, start = np.empty(rounds, dtype=object), np.empty(rounds), 0
+        # Each run of settled rounds up to the next query is charged at once.
+        for i in [*np.flatnonzero(queried).tolist(), rounds]:
+            if start < i:
+                run = slice(start, i)
+                schedule = (R, steps[run], taus[run]) if r else None
+                self._charge_restricted(r, at[run], schedule=schedule)
                 if lam:
-                    outcomes[i] = self._measure(*alone[i])
+                    for k in range(start, i):
+                        outcomes[k] = self._measure(*alone[k])
                 else:
-                    self.ledger.charge_experiment(1, ancilla=self.n)
+                    self.ledger.charge_experiment(i - start, ancilla=self.n)
+                    x[run] = self.rng.random(i - start)
+            if i < rounds:
+                qs = [pl._unchecked(self.n, a, b) for a, b in next(masks)]
+                outcomes[i] = self.sample_restricted(qs, times[i])
+            start = i + 1
         if not lam:
-            x[start:] = self.rng.random(rounds - start)
-            for rows, key, _, cdf in settled:
+            for rows, strings, _, cdf in settled:
                 # The searchsorted of _measure, for a whole class at once.
-                for i, j in zip(rows.tolist(), (cdf <= x[rows, None]).sum(axis=1).tolist()):
-                    outcomes[i] = key(j)
-        return outcomes
+                outcomes[rows] = strings[(cdf <= x[rows, None]).sum(axis=1)]
+        return outcomes.tolist()
 
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float | np.ndarray

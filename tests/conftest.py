@@ -1,4 +1,7 @@
-"""Shared test helpers: independent dense constructions and instance factories."""
+"""Shared test helpers: independent dense constructions, instance factories
+and Wilson score intervals."""
+
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +31,25 @@ def kron_hamiltonian(terms: dict) -> np.ndarray:
     for label, coeff in terms.items():
         m += coeff * kron_pauli(label)
     return m
+
+
+# Two-sided 99% normal quantile, used for Wilson score intervals.
+Z_99 = 2.5758293035489004
+
+
+def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
+    """Wilson score confidence interval for a binomial proportion."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    p = successes / trials
+    denom = 1.0 + z**2 / trials
+    center = (p + z**2 / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def wilson_lower(successes: int, trials: int, z: float = Z_99) -> float:
+    return wilson_interval(successes, trials, z)[0]
 
 
 def random_bounded_instance(n, s, rng, op_cap=1.0):

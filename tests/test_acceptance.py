@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_bounded_instance
+from conftest import random_bounded_instance, wilson_lower
 from hamlearn import pauli as pl
-from hamlearn._stats import wilson_lower
 from hamlearn.bench import evolution_time_slope, experiments_slope, sweep
 from hamlearn.distances import (
     circle_q,

@@ -91,6 +91,27 @@ def test_trotter_plan_arithmetic():
             trotter_steps(norm, 10.0, 0.01)
 
 
+def test_trotter_steps_array_matches_scalar_rule():
+    # A seeded grid, t = 0, and times whose counts fall within rounding of an
+    # integer, where numpy's SIMD power alone could move the ceiling.
+    rng = np.random.default_rng(21)
+    for norm in (0.0, 0.37, 1.0, 5.5):
+        for epsilon in (1e-3, 0.05, 1.0):
+            k = np.arange(1.0, 2000.0)
+            near = np.cbrt(k * k * epsilon) / norm if norm else k
+            ts = np.concatenate(([0.0], rng.uniform(0.0, 40.0, 300), near))
+            got = trotter_steps(norm, ts, epsilon)
+            assert got.tolist() == [trotter_steps(norm, t, epsilon) for t in ts.tolist()]
+    # Counts beyond 2**63 stay exact integers.
+    big = trotter_steps(1e15, np.array([1e15, 2e15]), 0.01)
+    assert big.tolist() == [trotter_steps(1e15, t, 0.01) for t in (1e15, 2e15)]
+    assert big[0] > 2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not finite for norm=1e\+307, t=10.0"):
+            trotter_steps(1e307, np.array([0.0, 10.0, math.nan]), 0.01)
+
+
 # -- evolve --------------------------------------------------------------------
 
 
@@ -660,6 +681,59 @@ def test_support_stage_rejects_infinite_step_count_untouched(mode):
             oracle.sample_support_stage(bits, [0.0, *[1.5] * 11])
     assert oracle.ledger == ResourceLedger()
     np.testing.assert_equal(oracle.rng.bit_generator.state, state)
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_support_stage_rejects_overflowing_time_untouched(mode):
+    # sum |h_P| t overflows with r = 0, where no step count is computed: the
+    # stage raises _simulate's error before it simulates, charges or draws.
+    oracle = make_oracle(H(1, {"Z": 1e300}), mode=mode)
+    state = oracle.rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"makes sum \|h_P\| t non-finite"):
+            oracle.sample_support_stage(np.zeros((3, 0, 2, 1), np.uint8), [1e10] * 3)
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
+
+
+def _staged_and_looped(truth, bits, times):
+    """Oracles after one stage call and after a loop of sample_restricted."""
+    staged, looped = make_oracle(truth, seed=3), make_oracle(truth, seed=3)
+    got = staged.sample_support_stage(bits, times)
+    n = truth.n
+    want = [looped.sample_restricted(_round_strings(n, q.tolist()), t) for q, t in zip(bits, times)]
+    assert got == want
+    np.testing.assert_equal(staged.rng.bit_generator.state, looped.rng.bit_generator.state)
+    return staged.ledger, looped.ledger
+
+
+def test_support_stage_adds_times_in_round_order():
+    # Adding 1e-16 to 1.0 changes nothing, so the in-order total differs
+    # from a pairwise (np.sum) or correctly rounded (math.fsum) one.
+    times = [1.0] + [1e-16] * 50
+    in_order = 0.0
+    for t in times:
+        in_order += t
+    assert in_order != np.sum(times) and in_order != math.fsum(times)
+    truth = H(2, {"ZZ": 0.5, "ZI": -0.3})  # every survivor set commutes: all settled
+    bits = np.random.default_rng(5).integers(0, 2, size=(51, 1, 2, 2), dtype=np.uint8)
+    staged, looped = _staged_and_looped(truth, bits, times)
+    assert staged.total_evolution_time.hex() == looped.total_evolution_time.hex() == in_order.hex()
+    assert _exact_ledger(staged) == _exact_ledger(looped)
+
+
+def test_support_stage_charges_exact_queries_beyond_int64():
+    # norm t = 1e30: each settled round's step count exceeds 2**63 and
+    # 2**53, and the stage charges the exact Python-int sum.
+    truth = H(1, {"Z": 1e15})
+    bits = np.zeros((3, 1, 2, 1), dtype=np.uint8)
+    bits[:, 0, 0, 0] = 1  # X anticommutes with Z: nothing survives
+    times = [1e15, 2e15, 3e15]
+    staged, looped = _staged_and_looped(truth, bits, times)
+    want = sum(2 * 2 * trotter_steps(1e15, t, 0.01) for t in times)
+    assert staged.queries == looped.queries == want > 2**63
+    assert _exact_ledger(staged) == _exact_ledger(looped)
 
 
 def test_support_stage_rejects_bad_input():
