@@ -279,7 +279,7 @@ def compress(
     same sum of terms with every string replaced by its image under the
     basis' *-isomorphism, with real coefficients +-h_P. Sums, products and
     functions of the Hamiltonians carry over, so spectra agree as sets.
-    :meth:`pauli.SymplecticBasis.lift` maps results back.
+    :meth:`pauli.SymplecticBasis.decode` maps an image string back.
     """
     n = hamiltonians[0].n
     if any(h.n != n for h in hamiltonians):

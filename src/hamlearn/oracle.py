@@ -10,20 +10,20 @@ merit tracked throughout: experiments, total evolution time, query count,
 minimum time resolution and ancilla qubits.
 
 Every query is simulated by ``EvolutionOracle._simulate``, the one place
-that picks a representation, and every sampling or estimation query is
-served as one dict of nonzero Pauli amplitudes. Symplectic Gram-Schmidt
-carries the strings involved onto a + b <= n qubits (a anticommuting
-pairs, b central strings; :func:`pauli.symplectic_basis`); the evolution
-is computed densely on that image and its Pauli amplitudes are lifted
-back, so the cost does not grow with n. In ``trotter`` mode a restricted
-evolution is the symmetric product over the ``2^r`` conjugated summands,
-multiplied out on the image of the terms and the drift string. In
-``exact`` mode it is the closed-form Pauli expansion when the restricted
-terms commute pairwise, else the exponential of the restricted
-Hamiltonian's image (:func:`hamiltonian.compress`). In both modes the
-ledger charges the queries the product formula executes, which sum to
-the charged time ``t``. Only ``evolve``, ``evolve_restricted`` and
-``pauli_sample`` handle dense n-qubit unitaries.
+that picks a representation. In ``exact`` mode, restricted terms that
+commute pairwise are expanded in closed form. Otherwise symplectic
+Gram-Schmidt carries the strings involved onto a + b <= n qubits (a
+anticommuting pairs, b central strings; :func:`pauli.symplectic_basis`),
+and the evolution is one unitary on that image: the exponential of the
+restricted Hamiltonian's image (:func:`hamiltonian.compress`), or in
+``trotter`` mode the symmetric product over the ``2^r`` conjugated
+summands. Outcomes are drawn on the image and only the drawn string is
+mapped back (:meth:`pauli.SymplecticBasis.decode`); an estimate reads the
+one coefficient its target encodes to, so the cost does not grow with n.
+``evolve`` and ``evolve_restricted`` run the same evaluator on the
+identity basis, whose image is the dense n-qubit unitary. In both modes
+the ledger charges the queries the product formula executes, which sum
+to the charged time ``t``.
 
 A support stage is one ``sample_support_stage`` call, which groups its
 rounds by the terms that survive the restriction. In exact mode each class
@@ -58,7 +58,7 @@ import numpy as np
 from . import pauli as pl
 from .errors import DimensionMismatchError
 from .hamiltonian import _UNITARITY_TOL, SparseHamiltonian, _unitarity_defect, compress, eigh
-from .pauli import PauliString
+from .pauli import PauliString, SymplecticBasis
 
 # Restricted term sets up to this size with pairwise-commuting members are
 # expanded in closed form instead of densely exponentiated.
@@ -159,27 +159,20 @@ def trotter_steps(norm: float, t: float | np.ndarray, epsilon: float) -> int | n
     """Step count ``l = ceil(sqrt((norm t)^3 / epsilon))`` of the product formula.
 
     ``norm`` bounds the summed operator norms of the formula's summands; the
-    step constant is 1 (see the module docstring). Raises ValueError when
-    the count is not finite, or ``(norm t)^3`` overflows. For an array of
-    times it returns the same integers as a float array (exact: each is a
-    float's ceiling).
+    step constant is 1 (see the module docstring). One rule, ``sqrt(x * x *
+    x / epsilon)`` with ``x = norm t``, serves scalars and arrays: IEEE
+    products, quotients and roots round alike in numpy and libm. An array of
+    times gives a float array of exact integers. Raises ValueError at the
+    first time whose count is not finite.
     """
-    if isinstance(t, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = np.sqrt((norm * t) ** 3 / epsilon)
-            # numpy's SIMD power may differ from libm's in the last bits, so the
-            # counts that could move, and the non-finite ones, take the scalar rule.
-            unsure = ~(np.abs(steps - np.rint(steps)) > 2.0**-40 * steps)
-        counts = np.maximum(1.0, np.ceil(steps))
-        counts[unsure] = [trotter_steps(norm, x, epsilon) for x in t[unsure].tolist()]
-        return counts
-    try:
-        steps = math.sqrt((norm * t) ** 3 / epsilon)
-    except OverflowError:
-        steps = math.inf
-    if not math.isfinite(steps):
-        raise ValueError(f"Trotter step count is not finite for norm={norm}, t={t}")
-    return max(1, math.ceil(steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = norm * t
+        counts = np.maximum(1.0, np.ceil(np.sqrt(x * x * x / epsilon)))
+    finite = np.isfinite(counts)
+    if not finite.all():
+        first = float(np.ravel(t)[finite.argmin()])
+        raise ValueError(f"Trotter step count is not finite for norm={norm}, t={first}")
+    return counts if isinstance(t, np.ndarray) else int(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +207,8 @@ def pauli_transform(u: np.ndarray) -> np.ndarray:
         # Row axis of qubit k sits at position k, column axis at position n
         # (earlier qubits have already collapsed into single axes).
         moved = np.moveaxis(tensor, (k, n), (0, 1))
-        rest = moved.shape[2:]
-        flat = moved.reshape(4, -1)
-        out = _SINGLE_QUBIT_TRANSFORM @ flat
-        tensor = np.moveaxis(out.reshape((4,) + rest), 0, k)
+        out = _SINGLE_QUBIT_TRANSFORM @ moved.reshape(4, -1)
+        tensor = np.moveaxis(out.reshape((4,) + moved.shape[2:]), 0, k)
     return tensor.reshape(-1)
 
 
@@ -237,19 +228,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
         raise ValueError("Pauli coefficients of input violate Parseval identity")
     cdf = np.cumsum(probs / total, axis=-1)
     return cdf / cdf[..., -1:]
-
-
-def _compressed_amplitudes(h: SparseHamiltonian, t: float) -> dict[PauliString, complex]:
-    """Nonzero Pauli amplitudes of ``e^{-itH}`` in ``PauliString.index`` order.
-
-    Exponentiates the (a+b)-qubit image of :func:`hamiltonian.compress`
-    densely and lifts its Pauli coefficients back to n qubits. Outcomes
-    come in the order a dense n-qubit transform lists them, so seeded draws
-    match the dense path up to rounding.
-    """
-    (small,), basis = compress(h)
-    u = _evolution(*eigh(small.dense_matrix()), t)
-    return basis.lift(pauli_transform(u))
 
 
 # ---------------------------------------------------------------------------
@@ -319,38 +297,46 @@ class EvolutionOracle:
             queries = executions * 2 * R * l
         self.ledger.charge_evolution(executions * t, queries, resolution)
 
+    def _check_time(self, t: float) -> None:
+        """Reject a time that is negative, or makes ``sum_P |h_P| t`` (so an angle) overflow."""
+        if not 0 <= t < math.inf or math.isinf(self._norm_bound * t):
+            raise ValueError(f"evolution time {t} is negative or makes sum |h_P| t non-finite")
+
     def _simulate(
         self,
         qs: list[PauliString],
         t: float,
         drift: tuple[PauliString, float] | None,
         dense: bool = False,
-    ) -> np.ndarray | dict[PauliString, complex]:
+    ):
         """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
 
-        Checks the query (``sum_P |h_P| t`` must be finite, so no angle
-        overflows) and charges nothing. Returns the dict of nonzero
-        Pauli amplitudes: of the executed product formula in trotter mode
-        with ``qs`` (:meth:`_execute_trotter`), else in closed form when the
-        restricted terms commute pairwise, else from the compressed
-        Hamiltonian (:func:`_compressed_amplitudes`). With ``dense`` it
-        returns the dense n-qubit unitary instead, capped at
-        ``pauli.DENSE_LIMIT`` qubits.
+        Checks the query and charges nothing. In exact mode, restricted terms
+        that commute pairwise give the dict of their nonzero Pauli amplitudes
+        in closed form. Otherwise returns the flat Pauli coefficients of the
+        evolution on a :class:`pauli.SymplecticBasis`' image, and the basis:
+        the exponential of the compressed restricted Hamiltonian, or in
+        trotter mode with ``qs`` the executed product (:meth:`_execute_trotter`).
+        With ``dense`` the basis is the identity and the n-qubit unitary is
+        returned, capped at ``pauli.DENSE_LIMIT`` qubits.
         """
-        if not 0 <= t < math.inf or math.isinf(self._norm_bound * t):
-            raise ValueError(f"evolution time {t} is negative or makes sum |h_P| t non-finite")
+        self._check_time(t)
         if drift is not None and not abs(drift[1]) <= 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
         if self.config.mode == "trotter" and qs:
-            amplitudes = self._execute_trotter(qs, t, drift)
-            return pl.dense_sum(self.n, amplitudes) if dense else amplitudes
-        h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
-        if drift is not None:
-            h = h.add_term(*drift)
-        if dense:
-            return _evolution(*eigh(h.dense_matrix()), t)
-        amplitudes = self._structured_amplitudes(list(h.terms.items()), t)
-        return amplitudes if amplitudes is not None else _compressed_amplitudes(h, t)
+            span = [*self.hamiltonian.terms, drift[0]] if drift else self.hamiltonian.terms
+            basis = SymplecticBasis.identity(self.n) if dense else pl.symplectic_basis(self.n, span)
+            u = self._execute_trotter(qs, t, drift, basis)
+        else:
+            h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
+            if drift is not None:
+                h = h.add_term(*drift)
+            if not dense and (amps := self._structured_amplitudes(list(h.terms.items()), t)):
+                return amps
+            # The identity basis carries h onto itself.
+            (image,), basis = ([h], None) if dense else compress(h)
+            u = _evolution(*eigh(image.dense_matrix()), t)
+        return u if dense else (pauli_transform(u), basis)
 
     # -- evolution queries -------------------------------------------------
 
@@ -368,8 +354,8 @@ class EvolutionOracle:
 
         In exact mode the restricted Hamiltonian is exponentiated densely;
         in trotter mode the symmetric product over all ``2^r`` conjugated
-        summands, executed on the compressed image, is within the configured
-        diamond budget of the exact evolution. Capped at ``pauli.DENSE_LIMIT``
+        summands, built on all n qubits, is within the configured diamond
+        budget of the exact evolution. Capped at ``pauli.DENSE_LIMIT``
         qubits. Drift pulses are known unitaries and charge nothing.
         """
         qs = list(qs)
@@ -377,7 +363,7 @@ class EvolutionOracle:
         self._charge_restricted(len(qs), t)
         return u
 
-    def _execute_trotter(self, qs, t, drift) -> dict[PauliString, complex]:
+    def _execute_trotter(self, qs, t, drift, basis: SymplecticBasis) -> np.ndarray:
         """Multiply out the second-order product formula for H_{Q_1..Q_r}.
 
         The summands are H_S = C_S H C_S / 2^r over subsets S of the
@@ -386,18 +372,16 @@ class EvolutionOracle:
         tau = t/(2^{r+1}l) of :meth:`_trotter_schedule`.
         C_S H C_S is H with the terms anticommuting with C_S negated, so every
         factor, and the drift pulse e^{-i theta P_0}, lies in the algebra of
-        the span of the terms and P_0. The product runs on that span's
-        a + b qubit image; its amplitudes are lifted back in index order.
+        the span of the terms and P_0. The product is returned as a unitary on
+        the image qubits of ``basis``, whose span holds that one.
         """
         R, l, tau = self._trotter_schedule(len(qs), t)
-        terms = self.hamiltonian.terms
-        basis = pl.symplectic_basis(self.n, [*terms, drift[0]] if drift else terms)
         m = basis.qubits
         # Bit i of a term's mask is set when it anticommutes with Q_i; the
         # symplectic product is bilinear, so C_S flips it iff |mask & S| is odd.
         encoded = [
             (*basis.encode(p), c, sum(pl.symplectic_product(p, q) << i for i, q in enumerate(qs)))
-            for p, c in terms.items()
+            for p, c in self.hamiltonian.terms.items()
         ]
         factors = []
         for subset in range(R):
@@ -412,7 +396,7 @@ class EvolutionOracle:
 
         # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
         block = functools.reduce(np.matmul, [*reversed(factors), *factors])
-        return basis.lift(pauli_transform(np.linalg.matrix_power(block, l)))
+        return np.linalg.matrix_power(block, l)
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------
 
@@ -456,16 +440,19 @@ class EvolutionOracle:
         """One full experiment: restricted evolution then Pauli sampling.
 
         Ledger charges equal ``evolve_restricted`` plus ``pauli_sample``, and
-        nothing is charged for a rejected query. ``_simulate`` returns the
-        nonzero Pauli amplitudes (of the executed product formula in trotter
-        mode, in closed form for a commuting restriction, else from the
-        compressed exponential), and the outcome is drawn from them in the
-        dict's order; no dense n-qubit matrix is built.
+        nothing is charged for a rejected query. A closed-form outcome is
+        drawn in the order of ``_simulate``'s dict; otherwise an image index
+        in the algebra is drawn (outside it the transform holds rounding
+        noise) and only that index is decoded to its n-qubit string.
         """
         qs = list(qs)
         u = self._simulate(qs, t, drift)
         self._charge_restricted(len(qs), t)
-        return self._measure(np.array([abs(amp) ** 2 for amp in u.values()]), list(u).__getitem__)
+        if isinstance(u, dict):
+            return self._measure(np.array([abs(a) ** 2 for a in u.values()]), list(u).__getitem__)
+        coeffs, basis = u
+        probs = np.where(basis.in_algebra(), np.abs(coeffs) ** 2, 0.0)
+        return self._measure(probs, lambda index: basis.decode(index)[0])
 
     def sample_support_stage(self, bits: np.ndarray, times: Sequence[float]) -> list[PauliString]:
         """The outcomes of :meth:`sample_restricted` on every round of a support stage.
@@ -502,13 +489,14 @@ class EvolutionOracle:
         if not ((0.0 <= at) & (at < math.inf)).all():
             raise ValueError("evolution times must be finite and non-negative")
         r = bits.shape[1]
-        # Every step count and _simulate's rule first, so a bad round raises before anything runs.
-        R, steps, taus = self._trotter_schedule(r, at) if r else (1, None, None)
+        # Round by round the time rule, then the step rule: the first bad round
+        # raises what its query would, before anything runs.
         with np.errstate(over="ignore"):
-            overflow = np.isinf(self._norm_bound * at)
-        if overflow.any():
-            t = times[int(overflow.argmax())]
-            raise ValueError(f"evolution time {t} is negative or makes sum |h_P| t non-finite")
+            overflow = np.flatnonzero(np.isinf(self._norm_bound * at))
+        good = int(overflow[0]) if overflow.size else rounds
+        R, steps, taus = self._trotter_schedule(r, at[:good]) if r else (1, None, None)
+        if good < rounds:
+            self._check_time(times[good])
 
         queried, settled = np.ones(rounds, dtype=bool), []
         if self.config.mode == "exact" and rounds:
@@ -602,7 +590,9 @@ class EvolutionOracle:
         ``(1-lam)|u_{p0}|^2 + lam 4^{-n}``; the returned value is the
         square root of the bias-corrected empirical frequency. Charges
         ``shots`` experiments, each with one restricted evolution of
-        duration ``t``.
+        duration ``t``. Off the closed form, ``u_{p0}`` is read from the
+        image coefficient ``basis.encode(p0)`` names; a target outside the
+        span has amplitude 0.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -610,7 +600,15 @@ class EvolutionOracle:
             raise DimensionMismatchError(f"target {p0} acts on {p0.n} qubits, expected {self.n}")
         qs = list(qs)
         u = self._simulate(qs, t, drift)
-        amp = u.get(p0, 0.0)
+        if isinstance(u, dict):
+            amp = u.get(p0, 0.0)
+        else:
+            coeffs, basis = u
+            try:
+                q, sign = basis.encode(p0)
+            except ValueError:  # p0 lies outside the span
+                q, sign = PauliString.identity(basis.qubits), 0
+            amp = sign * coeffs[q.index]
         self._charge_restricted(len(qs), t, executions=shots)
         self.ledger.charge_experiment(shots, ancilla=self.n)
 

@@ -20,6 +20,7 @@ they generate onto as few qubits as it needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -164,25 +165,19 @@ def check_dense(n: int) -> None:
         raise CapacityError(f"dense simulation requested at n={n} > limit {DENSE_LIMIT}")
 
 
-def nonzeros(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2^n nonzero entries of ``dense(p)`` as ``(rows, cols, values)``.
-
-    Column ``c`` holds ``i^{|x&z|} (-1)^{|c&z|}`` in row ``c ^ x``; every
-    value lies in ``{1, i, -1, -i}``, so scaling by it is exact.
-    """
-    cols = np.arange(1 << p.n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z_bits) & 1)
-    phase = 1j ** ((p.x_bits & p.z_bits).bit_count() % 4)
-    return cols ^ p.x_bits, cols, phase * signs
-
-
 def dense_sum(n: int, coeffs: Mapping[PauliString, complex]) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of ``sum_P c_P dense(P)``."""
+    """Dense 2^n x 2^n complex matrix of ``sum_P c_P dense(P)``.
+
+    Column ``c`` of ``dense(P)`` holds ``i^{|x&z|} (-1)^{|c&z|}`` in row
+    ``c ^ x``; every value lies in ``{1, i, -1, -i}``, so scaling by it is exact.
+    """
     check_dense(n)
     m = np.zeros((1 << n, 1 << n), dtype=complex)
+    cols = np.arange(1 << n)
     for p, c in coeffs.items():
-        rows, cols, values = nonzeros(p)
-        m[rows, cols] += c * values
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z_bits) & 1)
+        phase = 1j ** ((p.x_bits & p.z_bits).bit_count() % 4)
+        m[cols ^ p.x_bits, cols] += c * (phase * signs)
     return m
 
 
@@ -249,13 +244,14 @@ def anticommuting(string_bits: np.ndarray, term_bits: np.ndarray) -> np.ndarray:
 
     ``string_bits`` is any (..., 2, n) and ``term_bits`` a (k, 2, n) 0/1
     ``uint8`` array in the :func:`bit_rows` layout; entry ``[..., j]`` of the
-    boolean result is True iff the string anticommutes with term j. One
-    integer product counts x_Q.z_P + z_Q.x_P per pair (a term's rows swapped
-    to Z, then X); ``uint8`` wraps mod 256, which keeps the parity.
+    boolean result is True iff the string anticommutes with term j. One BLAS
+    product counts x_Q.z_P + z_Q.x_P per pair (a term's rows swapped to Z,
+    then X); the counts, at most 2n, are exact in ``float32`` while 2n < 2^24.
     """
     n = term_bits.shape[-1]
-    swapped = term_bits[:, ::-1].reshape(-1, 2 * n)
-    odd = (string_bits.reshape(-1, 2 * n) @ swapped.T) & 1
+    swapped = term_bits[:, ::-1].reshape(-1, 2 * n).astype(np.float32)
+    odd = (string_bits.reshape(-1, 2 * n).astype(np.float32) @ swapped.T).astype(np.int32)
+    odd &= 1
     return odd.reshape(string_bits.shape[:-2] + (len(term_bits),)).astype(bool)
 
 
@@ -332,14 +328,6 @@ def _reduced_echelon(vectors: Iterable[int]) -> list[int]:
     return basis
 
 
-def _times(element, generator):
-    """Right-multiply ``(string, image, sign)`` by ``(generator, its image)``."""
-    (p, q, sign), (g, img) = element, generator
-    p, phase_p = multiply(p, g)
-    q, phase_q = multiply(q, img)
-    return p, q, sign * round((phase_q * phase_p.conjugate()).real)
-
-
 @dataclass(frozen=True)
 class SymplecticBasis:
     """Basis of the GF(2) span of some n-qubit strings, in symplectic form.
@@ -350,28 +338,40 @@ class SymplecticBasis:
     :attr:`qubits` = a + b qubits extends to a *-isomorphism between the
     operator algebras the two sets of strings span. It sends each string
     of the span to ``sign * image`` with ``sign`` = +-1, so spectra (as
-    sets) and functions such as e^{-itH} carry over. ``central`` is in
-    reduced echelon form on the vectors ``x || z``.
+    sets) and functions such as e^{-itH} carry over; :meth:`encode` and
+    :meth:`decode` map one string each way. ``central`` is in reduced
+    echelon form on the vectors ``x || z``.
     """
 
     n: int
     pairs: tuple[tuple[PauliString, PauliString], ...]
     central: tuple[PauliString, ...]
 
+    @staticmethod
+    def identity(n: int) -> "SymplecticBasis":
+        """The pairs (X_k, Z_k) of qubits k = 0..n-1, a basis whose map is the identity."""
+        xz = [(PauliString(n, 1 << k, 0), PauliString(n, 0, 1 << k)) for k in reversed(range(n))]
+        return SymplecticBasis(n, tuple(xz), ())
+
     @property
     def qubits(self) -> int:
         return max(1, len(self.pairs) + len(self.central))
 
+    @functools.cached_property
     def _generators(self) -> list[tuple[PauliString, PauliString]]:
         """(string, image) of e_1, f_1, ..., e_a, f_a, c_1, ..., c_b in order."""
-        m, a = self.qubits, len(self.pairs)
-        gens = []
-        for i, (e, f) in enumerate(self.pairs):
-            bit = 1 << (m - 1 - i)
-            gens += [(e, PauliString(m, bit, 0)), (f, PauliString(m, 0, bit))]
-        for j, c in enumerate(self.central):
-            gens.append((c, PauliString(m, 0, 1 << (m - 1 - a - j))))
-        return gens
+        xz = SymplecticBasis.identity(self.qubits).pairs  # (X_k, Z_k) on each image qubit k
+        gens = [g for (e, f), (x, z) in zip(self.pairs, xz) for g in ((e, x), (f, z))]
+        return gens + [(c, z) for c, (_, z) in zip(self.central, xz[len(self.pairs) :])]
+
+    def _product(self, used: list[int]) -> tuple[PauliString, PauliString, int]:
+        """``(string, image, sign)`` of the product of the generators ``used`` selects."""
+        p, q, sign = PauliString.identity(self.n), PauliString.identity(self.qubits), 1
+        for (g, img), bit in zip(self._generators, used):
+            if bit:
+                (p, phase_p), (q, phase_q) = multiply(p, g), multiply(q, img)
+                sign *= round((phase_q * phase_p.conjugate()).real)
+        return p, q, sign
 
     def encode(self, p: PauliString) -> tuple[PauliString, int]:
         """``(image, sign)`` of a string of the span."""
@@ -384,31 +384,32 @@ class SymplecticBasis:
             residual ^= ce * _key(e) ^ cf * _key(f)
         # What is left lies in the central span; read it off the leading bits.
         used += [residual >> (_key(c).bit_length() - 1) & 1 for c in self.central]
-        element = (PauliString.identity(self.n), PauliString.identity(self.qubits), 1)
-        for gen, bit in zip(self._generators(), used):
-            if bit:
-                element = _times(element, gen)
-        if element[0] != p:
+        string, image, sign = self._product(used)
+        if string != p:
             raise ValueError(f"{p} is not in the span of the basis")
-        return element[1], element[2]
+        return image, sign
 
-    def elements(self) -> list[tuple[PauliString, PauliString, int]]:
-        """``(string, image, sign)`` for all 2^(2a+b) strings of the span."""
-        out = [(PauliString.identity(self.n), PauliString.identity(self.qubits), 1)]
-        for gen in self._generators():
-            out += [_times(element, gen) for element in out]
-        return out
+    def decode(self, index: int) -> tuple[PauliString, int]:
+        """``(string, sign)`` whose image has flat index ``index``; inverse of :meth:`encode`.
 
-    def lift(self, coeffs: np.ndarray) -> dict[PauliString, complex]:
-        """n-qubit Pauli amplitudes of an operator given on the image qubits.
-
-        ``coeffs`` are the flat 4^m Pauli coefficients (``PauliString.index``
-        order) of an operator in the image algebra, such as a function of an
-        image Hamiltonian. Returns the nonzero amplitudes in n-qubit index
-        order.
+        Raises ValueError for an index outside the image algebra (:meth:`in_algebra`).
         """
-        amps = [(p, sign * complex(coeffs[q.index])) for p, q, sign in self.elements()]
-        return dict(sorted(((p, a) for p, a in amps if a != 0), key=lambda kv: kv[0].index))
+        q = PauliString.from_index(self.qubits, index)
+        # Each generator's image is one letter X_i, Z_i or Z_{a+j}; q selects those it holds.
+        used = [img.x_bits & q.x_bits or img.z_bits & q.z_bits for _, img in self._generators]
+        string, image, sign = self._product(used)
+        if image != q:
+            raise ValueError(f"image index {index} is outside the image algebra")
+        return string, sign
+
+    def in_algebra(self) -> np.ndarray:
+        """Mask of the flat image indices whose strings lie in the image algebra.
+
+        A pair qubit holds any letter, a central one I or Z, the padding qubit only I.
+        """
+        letters = [[1, 1, 1, 1]] * len(self.pairs) + [[1, 0, 0, 1]] * len(self.central)
+        mask = functools.reduce(lambda u, v: np.outer(u, v).ravel(), letters or [[1, 0, 0, 0]], 1)
+        return mask == 1
 
 
 def symplectic_basis(n: int, strings: Iterable[PauliString]) -> SymplecticBasis:

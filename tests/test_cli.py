@@ -92,7 +92,7 @@ def test_learn_usage_error(tmp_path):
     assert proc.returncode == 0, proc.stderr
     proc = run_cli("learn", "--hamiltonian", str(huge))
     assert proc.returncode == 2
-    assert "Trotter step count is not finite" in proc.stderr
+    assert "makes sum |h_P| t non-finite" in proc.stderr
     nan = tmp_path / "nan.json"
     nan.write_text('{"n": 2, "terms": [{"pauli": "XX", "coeff": NaN}]}')
     for argv in (

@@ -12,7 +12,6 @@ import pytest
 from scipy.linalg import expm
 
 import hamlearn
-import hamlearn.oracle as oracle_mod
 from conftest import kron_hamiltonian, kron_pauli
 from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
@@ -332,9 +331,7 @@ def test_trotter_amplitudes_match_independent_product():
                     drift = (pl.random_uniform(n, rng), float(rng.uniform(-1, 1)))
                 t = float(rng.uniform(0.2, 2.0))
                 oracle = make_oracle(h, mode="trotter", trotter_epsilon=0.01)
-                amps = oracle._simulate(qs, t, drift)
-                indices = [p.index for p in amps]
-                assert indices == sorted(indices)
+                amps = _amplitudes(oracle._simulate(qs, t, drift))
                 expected = pauli_transform(_kron_trotter(h, qs, t, drift, 0.01))
                 assert np.abs(_amplitude_vector(amps, n) - expected).max() <= 1e-10
 
@@ -346,10 +343,10 @@ def test_trotter_sampling_beyond_dense_cap():
                "I" * 20 + "ZZ" + "I" * 18: 0.7})
     qs, p0, t = [P("Z" + "I" * 39)], P("Z" + "I" * 39), 0.8
     oracle = make_oracle(h, seed=3, mode="trotter", trotter_epsilon=1e-4)
-    amps = oracle._simulate(qs, t, (p0, 0.25))
+    amps = _amplitudes(oracle._simulate(qs, t, (p0, 0.25)))
     assert abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) < 1e-12
     assert all(p.n == 40 for p in amps)
-    exact = make_oracle(h)._simulate(qs, t, (p0, 0.25))
+    exact = _amplitudes(make_oracle(h)._simulate(qs, t, (p0, 0.25)))
     assert max(abs(amps.get(p, 0.0) - exact.get(p, 0.0)) for p in {*amps, *exact}) < 1e-4
     assert oracle.sample_restricted(qs, t, drift=(p0, 0.25)).n == 40
     estimates = [
@@ -482,13 +479,27 @@ def test_sample_restricted_noncommuting_runs_compressed():
     h = H(1, {"X": 0.4, "Z": 0.3})  # anticommuting survivors
     oracle = make_oracle(h, seed=7)
     assert oracle._structured_amplitudes(list(h.terms.items()), 1.0) is None
-    amps = oracle._simulate([], 1.0, None)
-    assert isinstance(amps, dict) and set(amps) <= {P("I"), P("X"), P("Y"), P("Z")}
-    assert list(amps) == sorted(amps, key=lambda p: p.index)
-    assert abs(amps.get(P("Y"), 0.0)) < 1e-15
+    coeffs, basis = oracle._simulate([], 1.0, None)
+    assert basis.qubits == 1 and coeffs.shape == (4,)
+    amps = _amplitudes((coeffs, basis))
+    assert set(amps) == {P("I"), P("X"), P("Y"), P("Z")}
+    assert abs(amps[P("Y")]) < 1e-15
     assert abs(amps[P("X")] + 1j * math.sin(0.5) * 0.8) < 1e-15
     outcome = oracle.sample_restricted([], 1.0)
     assert outcome.n == 1
+
+
+def _amplitudes(simulated):
+    """n-qubit amplitudes of a ``_simulate`` result: the closed-form dict as it
+    is, else every image coefficient of the algebra decoded, sign included."""
+    if isinstance(simulated, dict):
+        return simulated
+    coeffs, basis = simulated
+    amps = {}
+    for index in np.flatnonzero(basis.in_algebra()).tolist():
+        p, sign = basis.decode(index)
+        amps[p] = sign * coeffs[index]
+    return amps
 
 
 def _amplitude_vector(amps, n):
@@ -498,9 +509,11 @@ def _amplitude_vector(amps, n):
     return vec
 
 
-def test_compressed_amplitudes_match_dense_expm():
+def test_compressed_amplitudes_match_dense_expm(monkeypatch):
     # Independent dense oracle: kron-built matrix, scipy expm, then the
-    # Pauli transform; phases are compared, not just probabilities.
+    # Pauli transform; phases are compared, not just probabilities. The
+    # closed form is switched off, so commuting sets run on the image too.
+    monkeypatch.setattr(EvolutionOracle, "_structured_amplitudes", lambda *args: None)
     rng = np.random.default_rng(91)
     for trial in range(300):
         n = int(rng.integers(1, 6))
@@ -512,9 +525,10 @@ def test_compressed_amplitudes_match_dense_expm():
             h = random_instance(n, s, rng)
         t = float(rng.uniform(0.0, 4.0))
         assert compress(h)[0][0].n <= n
-        amps = oracle_mod._compressed_amplitudes(h, t)
-        indices = [p.index for p in amps]
-        assert indices == sorted(indices)
+        coeffs, basis = make_oracle(h)._simulate([], t, None)
+        # Off the image algebra the transform holds only rounding noise.
+        assert np.abs(coeffs[~basis.in_algebra()]).max(initial=0.0) < 1e-14
+        amps = _amplitudes((coeffs, basis))
         labelled = {p.label: c for p, c in h.terms.items()}
         expected = pauli_transform(expm(-1j * t * kron_hamiltonian(labelled)))
         assert np.abs(_amplitude_vector(amps, n) - expected).max() < 1e-12
@@ -527,7 +541,7 @@ def test_exact_sampling_beyond_dense_cap():
                "I" * 20 + "ZZ" + "I" * 18: 0.7})
     assert compress(h)[0][0].n == 3
     oracle = make_oracle(h, seed=3)
-    amps = oracle._simulate([], 0.8, None)
+    amps = _amplitudes(oracle._simulate([], 0.8, None))
     assert abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) < 1e-12
     assert all(p.n == 40 for p in amps)
     outcome = oracle.sample_restricted([P("I" * 20 + "XX" + "I" * 18)], 0.8)
@@ -536,6 +550,27 @@ def test_exact_sampling_beyond_dense_cap():
     assert oracle.ledger.experiments == 101
     with pytest.raises(CapacityError):
         oracle.evolve(0.8)
+
+
+def test_wide_image_draws_match_the_dense_distribution():
+    # Thirty terms span all 8 qubits: the image is 8 qubits wide. Decoding
+    # every image index gives the dense n-qubit distribution, and a draw is
+    # the decoded image index the oracle's next uniform selects.
+    h = random_instance(8, 30, np.random.default_rng(1))
+    oracle = make_oracle(h, seed=5)
+    coeffs, basis = oracle._simulate([], 0.7, None)
+    assert basis.qubits == 8
+    dense = np.abs(pauli_transform(oracle.evolve(0.7))) ** 2
+    decoded = np.zeros(4**8)
+    for p, a in _amplitudes((coeffs, basis)).items():
+        decoded[p.index] = abs(a) ** 2
+    assert np.abs(decoded - dense).max() < 1e-12
+    twin = make_oracle(h, seed=5).rng
+    for _ in range(5):
+        outcome = oracle.sample_restricted([], 0.7)
+        cdf = np.cumsum(np.where(basis.in_algebra(), np.abs(coeffs) ** 2, 0.0))
+        index = int(cdf.searchsorted(twin.random() * cdf[-1], side="right"))
+        assert outcome == basis.decode(index)[0] and dense[outcome.index] > 0
 
 
 def test_rejected_sample_restricted_charges_nothing():
@@ -697,6 +732,27 @@ def test_support_stage_rejects_overflowing_time_untouched(mode):
     np.testing.assert_equal(oracle.rng.bit_generator.state, state)
 
 
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_support_stage_raises_what_the_loop_raises(mode):
+    # r = 2 and round 0 overflows sum |h_P| t, so its step count is not finite
+    # either: the time rule comes first, for the stage as for its own query.
+    truth = H(2, {"XX": 1e300, "ZZ": 0.5})
+    bits = np.random.default_rng(6).integers(0, 2, size=(4, 2, 2, 2), dtype=np.uint8)
+    times = [1e10, 1.0, 1.0, 1.0]
+    staged, looped = make_oracle(truth, mode=mode), make_oracle(truth, mode=mode)
+    state = staged.rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as stage_error:
+            staged.sample_support_stage(bits, times)
+        with pytest.raises(ValueError) as loop_error:
+            looped.sample_restricted(_round_strings(2, bits[0].tolist()), times[0])
+    assert str(stage_error.value) == str(loop_error.value)
+    assert "makes sum |h_P| t non-finite" in str(stage_error.value)
+    assert staged.ledger == ResourceLedger()
+    np.testing.assert_equal(staged.rng.bit_generator.state, state)
+
+
 def _staged_and_looped(truth, bits, times):
     """Oracles after one stage call and after a loop of sample_restricted."""
     staged, looped = make_oracle(truth, seed=3), make_oracle(truth, seed=3)
@@ -761,8 +817,8 @@ def test_support_stage_rejects_bad_input():
 
 
 # Restrictions by XX keep the commuting pair {XX, ZZ} (closed form); XI and
-# ZI anticommute (compressed exponential, which draws as the dense n-qubit
-# exponential did); trotter mode executes the product.
+# ZI anticommute (compressed exponential, drawn in image index order);
+# trotter mode executes the product.
 _CLOSED = H(2, {"XX": 0.5, "ZZ": -0.4, "ZI": 0.3})
 _DENSE = H(2, {"XI": 0.4, "ZI": 0.3, "XX": 0.5})
 
@@ -772,7 +828,7 @@ def test_seeded_draws_are_pinned():
     # not move a seeded outcome.
     cases = [
         (_CLOSED, [P("XX")], 0.9, {}, "II II II XX YY II II II II II II II"),
-        (_DENSE, [], 0.9, {}, "IX II II XX ZI II II II II II II II"),
+        (_DENSE, [], 0.9, {}, "IX II II XI XX II II II II II II II"),
         (
             H(2, {"ZZ": 0.6, "XI": 0.5, "YZ": 0.4}),
             [P("ZI")],
@@ -829,6 +885,27 @@ def test_estimate_zero_coefficient():
     oracle = make_oracle(h, seed=12)
     est = oracle.estimate_pauli_coeff_magnitude([], None, P("ZZ"), 0.5, shots=10_000)
     assert est < 0.02
+
+
+def test_trotter_query_on_an_empty_span_samples_the_identity():
+    # No terms and no drift: the product runs on the padding qubit of an empty span.
+    oracle = make_oracle(SparseHamiltonian(2), mode="trotter")
+    assert [oracle.sample_restricted([P("XI")], 1.0) for _ in range(5)] == [P("II")] * 5
+    assert oracle.estimate_pauli_coeff_magnitude([P("XI")], None, P("II"), 1.0, 100) == 1.0
+
+
+def test_estimate_outside_the_span_reads_zero():
+    # XI and ZI anticommute, so the query runs on their 1-qubit image; IX is
+    # not in their span, so its amplitude is exactly 0 in either mode.
+    h = H(2, {"XI": 0.4, "ZI": 0.3})
+    for mode, qs in (("exact", []), ("trotter", [P("IZ")])):
+        oracle = make_oracle(h, seed=15, mode=mode)
+        _, basis = oracle._simulate(qs, 0.9, (P("XI"), 0.25))
+        with pytest.raises(ValueError, match="span"):
+            basis.encode(P("IX"))
+        assert oracle.estimate_pauli_coeff_magnitude(qs, (P("XI"), 0.25), P("IX"), 0.9, 500) == 0.0
+        assert oracle.estimate_pauli_coeff_magnitude(qs, None, P("XI"), 0.9, 500) > 0.0
+        assert oracle.ledger.experiments == 1000
 
 
 def test_estimate_spam_bias_correction():

@@ -284,7 +284,7 @@ def test_symplectic_basis_normal_form():
         a, b = len(basis.pairs), len(basis.central)
         assert 2 * a + b == _gf2_rank(strings)
         assert basis.qubits == max(1, a + b) <= n
-        gens = [g for g, _ in basis._generators()]
+        gens = [g for g, _ in basis._generators]
         for i, g in enumerate(gens):
             for j, h in enumerate(gens):
                 partners = i // 2 == j // 2 and i != j and max(i, j) < 2 * a
@@ -297,18 +297,31 @@ def test_symplectic_basis_normal_form():
                 assert pl.symplectic_product(p, p2) == pl.symplectic_product(q, q2)
 
 
+def _decoded(basis):
+    """``(string, image, sign)`` for every index of the image algebra, by decode."""
+    out = []
+    for index in np.flatnonzero(basis.in_algebra()).tolist():
+        p, sign = basis.decode(index)
+        out.append((p, PauliString.from_index(basis.qubits, index), sign))
+    return out
+
+
 def test_symplectic_basis_elements_form_the_span():
     rng = np.random.default_rng(32)
     for _ in range(100):
         n = int(rng.integers(1, 5))
         strings = _random_strings(rng, n, int(rng.integers(1, 7)))
         basis = pl.symplectic_basis(n, strings)
-        elements = basis.elements()
+        elements = _decoded(basis)
         assert len(elements) == 2 ** _gf2_rank(strings)
         assert len({p for p, _, _ in elements}) == len({q for _, q, _ in elements}) == len(elements)
         for p, q, sign in elements:
             assert basis.encode(p) == (q, sign)
         assert set(strings) <= {p for p, _, _ in elements}
+        # Every other index lies outside the algebra, and decode refuses it.
+        for index in np.flatnonzero(~basis.in_algebra()).tolist():
+            with pytest.raises(ValueError, match="image algebra"):
+                basis.decode(index)
 
 
 def test_symplectic_basis_map_is_multiplicative():
@@ -317,7 +330,7 @@ def test_symplectic_basis_map_is_multiplicative():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         basis = pl.symplectic_basis(n, _random_strings(rng, n, int(rng.integers(1, 7))))
-        table = {p: (q, sign) for p, q, sign in basis.elements()}
+        table = {p: (q, sign) for p, q, sign in _decoded(basis)}
         for p1, (q1, s1) in table.items():
             for p2, (q2, s2) in table.items():
                 p3, phase_p = pl.multiply(p1, p2)
@@ -331,3 +344,24 @@ def test_encode_rejects_strings_outside_the_span():
     assert basis.qubits == 1
     with pytest.raises(ValueError, match="span"):
         basis.encode(P("IX"))
+
+
+def test_empty_span_image_holds_only_the_identity():
+    # No strings: the image is one padding qubit, and only its I is in the algebra.
+    basis = pl.symplectic_basis(2, [])
+    assert basis.qubits == 1
+    assert basis.in_algebra().tolist() == [True, False, False, False]
+    assert basis.decode(0) == (PauliString.identity(2), 1)
+    for index in (1, 2, 3):
+        with pytest.raises(ValueError, match="image algebra"):
+            basis.decode(index)
+
+
+def test_identity_basis_maps_every_string_to_itself():
+    for n in (1, 2, 3):
+        basis = pl.SymplecticBasis.identity(n)
+        assert basis.in_algebra().all()
+        for index in range(4**n):
+            p = PauliString.from_index(n, index)
+            assert basis.encode(p) == (p, 1)
+            assert basis.decode(index) == (p, 1)
