@@ -13,11 +13,11 @@ Every query is simulated by ``EvolutionOracle._simulate``, the one place
 that picks a representation. In ``exact`` mode, restricted terms that
 commute pairwise are expanded in closed form. Otherwise symplectic
 Gram-Schmidt carries the strings involved onto a + b <= n qubits (a
-anticommuting pairs, b central strings; :func:`pauli.symplectic_basis`),
-and the evolution is one unitary on that image: the exponential of the
-restricted Hamiltonian's image (:func:`hamiltonian.compress`), or in
-``trotter`` mode the symmetric product over the ``2^r`` conjugated
-summands. Outcomes are drawn on the image and only the drawn string is
+anticommuting pairs, b central strings; :func:`hamiltonian.compress`) and
+one ``eigh`` exponentiates the image of the restricted Hamiltonian, or in
+``trotter`` mode of all of H: every factor of the product over the ``2^r``
+conjugated summands is that exponential conjugated by an image Pauli
+string. Outcomes are drawn on the image and only the drawn string is
 mapped back (:meth:`pauli.SymplecticBasis.decode`); an estimate reads the
 one coefficient its target encodes to, so the cost does not grow with n.
 ``evolve`` and ``evolve_restricted`` run the same evaluator on the
@@ -315,27 +315,30 @@ class EvolutionOracle:
         that commute pairwise give the dict of their nonzero Pauli amplitudes
         in closed form. Otherwise returns the flat Pauli coefficients of the
         evolution on a :class:`pauli.SymplecticBasis`' image, and the basis:
-        the exponential of the compressed restricted Hamiltonian, or in
-        trotter mode with ``qs`` the executed product (:meth:`_execute_trotter`).
-        With ``dense`` the basis is the identity and the n-qubit unitary is
+        the exponential of the compressed restricted Hamiltonian, or in trotter
+        mode with ``qs`` the product :meth:`_execute_trotter` builds from the
+        images of H and of a unit pulse on P_0 (kept in the span if d rounds to
+        0). With ``dense`` the basis is the identity and the n-qubit unitary is
         returned, capped at ``pauli.DENSE_LIMIT`` qubits.
         """
         self._check_time(t)
         if drift is not None and not abs(drift[1]) <= 4.0:
             raise ValueError(f"drift coefficient {drift[1]} outside supported range")
-        if self.config.mode == "trotter" and qs:
-            span = [*self.hamiltonian.terms, drift[0]] if drift else self.hamiltonian.terms
-            basis = SymplecticBasis.identity(self.n) if dense else pl.symplectic_basis(self.n, span)
-            u = self._execute_trotter(qs, t, drift, basis)
+        if drift is not None and drift[0].is_identity:
+            raise ValueError("identity term not allowed (traceless convention)")
+        if trotter := self.config.mode == "trotter" and qs:
+            hs = [self.hamiltonian] + ([SparseHamiltonian(self.n, {drift[0]: 1})] if drift else [])
         else:
             h = self.hamiltonian.restrict(qs) if qs else self.hamiltonian
             if drift is not None:
                 h = h.add_term(*drift)
             if not dense and (amps := self._structured_amplitudes(list(h.terms.items()), t)):
                 return amps
-            # The identity basis carries h onto itself.
-            (image,), basis = ([h], None) if dense else compress(h)
-            u = _evolution(*eigh(image.dense_matrix()), t)
+            hs = [h]
+        # The identity basis carries every Hamiltonian onto itself.
+        images, basis = (hs, SymplecticBasis.identity(self.n)) if dense else compress(*hs)
+        evolve = functools.partial(_evolution, *eigh(images[0].dense_matrix()))
+        u = self._execute_trotter(qs, t, drift, evolve, images, basis) if trotter else evolve(t)
         return u if dense else (pauli_transform(u), basis)
 
     # -- evolution queries -------------------------------------------------
@@ -354,46 +357,35 @@ class EvolutionOracle:
 
         In exact mode the restricted Hamiltonian is exponentiated densely;
         in trotter mode the symmetric product over all ``2^r`` conjugated
-        summands, built on all n qubits, is within the configured diamond
-        budget of the exact evolution. Capped at ``pauli.DENSE_LIMIT``
-        qubits. Drift pulses are known unitaries and charge nothing.
+        summands, each a Pauli conjugate of one dense exponential of H, is
+        within the configured diamond budget of the exact evolution. Capped
+        at ``pauli.DENSE_LIMIT`` qubits. Drift pulses charge nothing.
         """
         qs = list(qs)
         u = self._simulate(qs, t, drift, dense=True)
         self._charge_restricted(len(qs), t)
         return u
 
-    def _execute_trotter(self, qs, t, drift, basis: SymplecticBasis) -> np.ndarray:
+    def _execute_trotter(self, qs, t, drift, evolve, images, basis: SymplecticBasis):
         """Multiply out the second-order product formula for H_{Q_1..Q_r}.
 
-        The summands are H_S = C_S H C_S / 2^r over subsets S of the
-        conjugation strings (C_S the product of the selected Q_i), each
-        implemented as one query to the true evolution at time
-        tau = t/(2^{r+1}l) of :meth:`_trotter_schedule`.
-        C_S H C_S is H with the terms anticommuting with C_S negated, so every
-        factor, and the drift pulse e^{-i theta P_0}, lies in the algebra of
-        the span of the terms and P_0. The product is returned as a unitary on
-        the image qubits of ``basis``, whose span holds that one.
+        Its factors are e^{-i tau C_S H C_S} over subsets S of the Q_i (C_S their
+        product), each one query to the true evolution for tau = t/(2^{r+1}l)
+        (:meth:`_trotter_schedule`). On the image of ``basis`` C_S acts as X^x Z^z
+        (:meth:`pauli.SymplecticBasis.conjugator`), so factor S reads
+        ``evolve(tau)`` = e^{-i tau H} at rows and columns j ^ x, signed by
+        (-1)^{|j & z|}. With a drift, ``images[1]`` is the unit pulse's image.
         """
         R, l, tau = self._trotter_schedule(len(qs), t)
-        m = basis.qubits
-        # Bit i of a term's mask is set when it anticommutes with Q_i; the
-        # symplectic product is bilinear, so C_S flips it iff |mask & S| is odd.
-        encoded = [
-            (*basis.encode(p), c, sum(pl.symplectic_product(p, q) << i for i, q in enumerate(qs)))
-            for p, c in self.hamiltonian.terms.items()
-        ]
-        factors = []
-        for subset in range(R):
-            image = {q: (-1) ** (a & subset).bit_count() * sign * c for q, sign, c, a in encoded}
-            factors.append(_evolution(*eigh(pl.dense_sum(m, image)), tau))
-        if drift is not None:
-            q0, sign0 = basis.encode(drift[0])
-            theta = drift[1] * R * tau
-            factors.append(
-                math.cos(theta) * np.eye(1 << m) - 1j * math.sin(theta) * sign0 * pl.dense(q0)
-            )
-
+        # Factors in subset order (bit i selects Q_i): conjugating S by Q_i gives S + {i}.
+        factors = [evolve(tau)]
+        rows = np.arange(len(factors[0]))[:, None]
+        for q in qs:
+            x, z = basis.conjugator(q)
+            # (-1)^{|j & z|} (-1)^{|k & z|} = (-1)^{|(j ^ k) & z|} on entry (j, k).
+            perm, signs = rows ^ x, 1.0 - 2.0 * (np.bitwise_count((rows ^ rows.T) & z) & 1)
+            factors += [signs * f[perm, perm.T] for f in factors]
+        factors += [_evolution(*eigh(p.dense_matrix()), drift[1] * R * tau) for p in images[1:]]
         # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
         block = functools.reduce(np.matmul, [*reversed(factors), *factors])
         return np.linalg.matrix_power(block, l)

@@ -402,6 +402,14 @@ class SymplecticBasis:
             raise ValueError(f"image index {index} is outside the image algebra")
         return string, sign
 
+    def conjugator(self, q: PauliString) -> tuple[int, int]:
+        """Masks ``(x, z)`` of an image string D = X^x Z^z with D img(p) D^dag = img(q p q).
+
+        D holds the letter anticommuting with the image of each generator ``q`` anticommutes with.
+        """
+        flips = [img for g, img in self._generators if symplectic_product(q, g)]
+        return sum(img.z_bits for img in flips), sum(img.x_bits for img in flips)
+
     def in_algebra(self) -> np.ndarray:
         """Mask of the flat image indices whose strings lie in the image algebra.
 

@@ -13,10 +13,11 @@ from scipy.linalg import expm
 
 import hamlearn
 from conftest import kron_hamiltonian, kron_pauli
+from hamlearn import oracle as oracle_module
 from hamlearn import pauli as pl
 from hamlearn.distances import half_diamond_unitary
 from hamlearn.errors import CapacityError, DimensionMismatchError
-from hamlearn.hamiltonian import SparseHamiltonian, compress, random_instance
+from hamlearn.hamiltonian import SparseHamiltonian, compress, eigh, random_instance
 from hamlearn.isolation import isolation_rounds
 from hamlearn.oracle import (
     EvolutionOracle,
@@ -336,6 +337,26 @@ def test_trotter_amplitudes_match_independent_product():
                 assert np.abs(_amplitude_vector(amps, n) - expected).max() <= 1e-10
 
 
+def test_trotter_query_diagonalizes_once(monkeypatch):
+    # Every factor of the product is a Pauli conjugate of one image
+    # exponential: an r = 3 query (8 factors) runs eigh on the terms' image,
+    # and with a drift once more on the pulse's.
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(oracle_module, "eigh", counted)
+    h = random_instance(4, 6, np.random.default_rng(8))
+    qs = [P("XIZI"), P("IZZY"), P("YIIX")]
+    oracle = make_oracle(h, mode="trotter")
+    oracle.sample_restricted(qs, 0.8, drift=(next(iter(h.terms)), 0.2))
+    assert len(calls) == 2
+    oracle.sample_restricted(qs, 0.8)
+    assert len(calls) == 3
+
+
 def test_trotter_sampling_beyond_dense_cap():
     # The Hamiltonian of test_exact_sampling_beyond_dense_cap: 40 qubits,
     # a 3-qubit image. Restricting by Z on qubit 0 keeps Z_0 and the ZZ term.
@@ -601,6 +622,28 @@ def test_rejected_sample_restricted_charges_nothing():
         with pytest.raises(ValueError, match="drift"):
             oracle.sample_restricted(qs, 1.0, drift=(P("XX"), math.nan))
         assert oracle.ledger == ResourceLedger()
+
+
+_IDENTITY_DRIFT_QUERIES = {
+    "sample": lambda oracle, drift: oracle.sample_restricted([P("XI")], 1.0, drift),
+    "estimate": lambda oracle, drift: oracle.estimate_pauli_coeff_magnitude(
+        [P("XI")], drift, P("XX"), 1.0, shots=10
+    ),
+    "evolve": lambda oracle, drift: oracle.evolve_restricted([P("XI")], 1.0, drift),
+}
+
+
+@pytest.mark.parametrize("query", list(_IDENTITY_DRIFT_QUERIES))
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_identity_drift_is_rejected_untouched(mode, query):
+    # A drift on the identity string is a multiple of I, which the traceless
+    # convention excludes: both modes refuse it alike, before any charge or draw.
+    oracle = make_oracle(H(2, {"XX": 0.5, "ZI": 0.3}), mode=mode)
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"identity term not allowed \(traceless convention\)"):
+        _IDENTITY_DRIFT_QUERIES[query](oracle, (P("II"), 0.3))
+    assert oracle.ledger == ResourceLedger()
+    np.testing.assert_equal(oracle.rng.bit_generator.state, state)
 
 
 @pytest.mark.parametrize("labelled", [{"X": 1e300}, {"X": 1e300, "Z": 0.3}])

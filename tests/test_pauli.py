@@ -365,3 +365,36 @@ def test_identity_basis_maps_every_string_to_itself():
             p = PauliString.from_index(n, index)
             assert basis.encode(p) == (p, 1)
             assert basis.decode(index) == (p, 1)
+
+
+def test_conjugator_anticommutes_with_the_images_q_anticommutes_with():
+    # X^x Z^z acts on the image as conjugation by q acts on the span: it
+    # anticommutes with the image of each span string exactly when q does.
+    rng = np.random.default_rng(34)
+    bases = [pl.symplectic_basis(2, []), *(pl.SymplecticBasis.identity(n) for n in (1, 2, 3))]
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        bases.append(pl.symplectic_basis(n, _random_strings(rng, n, int(rng.integers(1, 6)))))
+    kinds = {"identity": 0, "in span": 0, "outside": 0}
+    for basis in bases:
+        n = basis.n
+        span = _decoded(basis)
+        members = {p for p, _, _ in span}
+        picks = [span[int(k)][0] for k in rng.integers(0, len(span), size=3)]
+        for q in [PauliString.identity(n), *picks, *_random_strings(rng, n, 4)]:
+            kinds["identity" if q.is_identity else "in span" if q in members else "outside"] += 1
+            x, z = basis.conjugator(q)
+            d = PauliString(basis.qubits, x, z)
+            for p, image, _ in span:
+                assert pl.symplectic_product(d, image) == pl.symplectic_product(q, p)
+    assert min(kinds.values()) > 0
+
+
+def test_conjugator_of_the_identity_basis_is_the_string_itself():
+    for n in (1, 2, 3):
+        basis = pl.SymplecticBasis.identity(n)
+        for index in range(4**n):
+            q = PauliString.from_index(n, index)
+            assert basis.conjugator(q) == (q.x_bits, q.z_bits)
+    # An empty span has nothing for q to negate.
+    assert pl.symplectic_basis(2, []).conjugator(P("XY")) == (0, 0)
