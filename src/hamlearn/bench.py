@@ -140,6 +140,8 @@ def sweep(
     """
     if not s_grid or not eps_grid or trials < 1:
         raise ValueError("sweep needs nonempty grids and at least one trial")
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     for s in s_grid:
         if not 1 <= s <= 4**n - 1:
             raise ValueError(f"sparsity must be in [1, 4^n - 1], got {s}")

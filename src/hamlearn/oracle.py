@@ -10,28 +10,29 @@ merit tracked throughout: experiments, total evolution time, query count,
 minimum time resolution and ancilla qubits.
 
 Every query is simulated by ``EvolutionOracle._simulate``, the one place
-that picks a representation. In ``exact`` mode, restricted terms that
-commute pairwise are expanded in closed form. Otherwise symplectic
-Gram-Schmidt carries the strings involved onto a + b <= n qubits (a
-anticommuting pairs, b central strings; :func:`hamiltonian.compress`) and
-one ``eigh`` exponentiates the image of the restricted Hamiltonian, or in
-``trotter`` mode of all of H: every factor of the product over the ``2^r``
-conjugated summands is that exponential conjugated by an image Pauli
-string. Outcomes are drawn on the image and only the drawn string is
-mapped back (:meth:`pauli.SymplecticBasis.decode`); an estimate reads the
-one coefficient its target encodes to, so the cost does not grow with n.
-``evolve`` and ``evolve_restricted`` run the same evaluator on the
-identity basis, whose image is the dense n-qubit unitary. In both modes
-the ledger charges the queries the product formula executes, which sum
-to the charged time ``t``.
+that picks a representation. In ``exact`` mode, restricted terms in
+commuting groups of anticommuting strings (each group squares to a scalar)
+are expanded in closed form. Otherwise symplectic Gram-Schmidt carries the
+strings involved onto a + b <= n qubits (a anticommuting pairs, b central
+strings; :func:`hamiltonian.compress`) and one ``eigh`` exponentiates the
+image of the restricted Hamiltonian, or in ``trotter`` mode of all of H:
+every factor of the product over the ``2^r`` conjugated summands is that
+exponential conjugated by an image Pauli string. Outcomes are drawn on the
+image and only the drawn string is mapped back
+(:meth:`pauli.SymplecticBasis.decode`); an estimate reads the one
+coefficient its target encodes to, so the cost does not grow with n.
+``evolve`` and ``evolve_restricted`` run the same evaluator on the identity
+basis, whose image is the dense n-qubit unitary. In both modes the ledger
+charges the queries the product formula executes, which sum to the charged
+time ``t``.
 
 A support stage is one ``sample_support_stage`` call, which groups its
 rounds by the terms that survive the restriction. In exact mode each class
-whose survivors commute pairwise (the empty one included) is settled in
-closed form at all of its times at once, its outcomes drawn by one batched
-inverse CDF; rounds whose survivors anticommute, and every round in
-trotter mode, are ordinary ``sample_restricted`` queries. Each run of
-settled rounds between two queries is charged at once, in round order.
+whose survivors have the closed form (the empty one included) is settled
+at all of its times at once, its outcomes drawn by one batched inverse CDF;
+the other rounds, and every round in trotter mode, are ordinary
+``sample_restricted`` queries. Each run of settled rounds between two
+queries is charged at once, in round order.
 
 The product formula takes ``l = ceil(sqrt((L t)^3 / eps))`` steps
 (:func:`trotter_steps`) for ``L = sum_P |h_P|``. Every ``||P|| = 1``, so
@@ -60,8 +61,8 @@ from .errors import DimensionMismatchError
 from .hamiltonian import _UNITARITY_TOL, SparseHamiltonian, _unitarity_defect, compress, eigh
 from .pauli import PauliString, SymplecticBasis
 
-# Restricted term sets up to this size with pairwise-commuting members are
-# expanded in closed form instead of densely exponentiated.
+# Restricted term sets up to this size that split into anticommuting groups
+# are expanded in closed form instead of exponentiated on their image.
 _STRUCTURED_TERM_CAP = 10
 
 
@@ -312,14 +313,14 @@ class EvolutionOracle:
         """Simulate ``e^{-it(H_{Q_1..Q_r} + d P_0)}``; the only representation choice.
 
         Checks the query and charges nothing. In exact mode, restricted terms
-        that commute pairwise give the dict of their nonzero Pauli amplitudes
-        in closed form. Otherwise returns the flat Pauli coefficients of the
-        evolution on a :class:`pauli.SymplecticBasis`' image, and the basis:
-        the exponential of the compressed restricted Hamiltonian, or in trotter
-        mode with ``qs`` the product :meth:`_execute_trotter` builds from the
-        images of H and of a unit pulse on P_0 (kept in the span if d rounds to
-        0). With ``dense`` the basis is the identity and the n-qubit unitary is
-        returned, capped at ``pauli.DENSE_LIMIT`` qubits.
+        that :meth:`_structured_amplitudes` accepts give the dict of their Pauli
+        amplitudes in closed form. Otherwise returns the flat Pauli coefficients
+        of the evolution on a :class:`pauli.SymplecticBasis`' image, and the
+        basis: the exponential of the compressed restricted Hamiltonian, or in
+        trotter mode with ``qs`` the product :meth:`_execute_trotter` builds
+        from the images of H and of a unit pulse on P_0 (kept in the span if d
+        rounds to 0). With ``dense`` the basis is the identity and the n-qubit
+        unitary is returned, capped at ``pauli.DENSE_LIMIT`` qubits.
         """
         self._check_time(t)
         if drift is not None and not abs(drift[1]) <= 4.0:
@@ -455,16 +456,16 @@ class EvolutionOracle:
         draws of ``sample_restricted`` on the rounds in turn; a rejected
         stage charges nothing.
 
-        A term survives a round iff it commutes with all r strings (the rule
-        of :meth:`SparseHamiltonian.restrict`), decided for all rounds by
+        A term survives a round iff it commutes with all r strings (the rule of
+        :meth:`SparseHamiltonian.restrict`), decided for all rounds by
         :func:`pauli.anticommuting`; rounds with the same survivors form a
-        class. In exact mode a class whose survivors commute pairwise (the
-        empty class included) is settled in closed form: one
-        :meth:`_structured_amplitudes` call gives its amplitudes at all of
-        its times, and every row passes the Parseval check before anything
-        is charged. Each run of settled rounds between two queries is charged
-        at once, in round order, and without SPAM draws its uniforms in one
-        call; a class then inverts its CDFs and picks its outcomes from an
+        class. In exact mode a class whose survivors are commuting groups of
+        anticommuting strings (the empty class included) is settled in closed
+        form: one :meth:`_structured_amplitudes` call gives its amplitudes at
+        all of its times, and every row passes the Parseval check before
+        anything is charged. Each run of settled rounds between two queries is
+        charged at once, in round order, and without SPAM draws its uniforms in
+        one call; a class then inverts its CDFs and picks its outcomes from an
         array of its strings at once. The other rounds, and every round in
         trotter mode (where not even an empty restriction is exactly I), stay
         ordinary ``sample_restricted`` queries.
@@ -541,28 +542,40 @@ class EvolutionOracle:
     def _structured_amplitudes(
         self, terms: list[tuple[PauliString, float]], t: float | np.ndarray
     ) -> dict[PauliString, complex] | None:
-        """Pauli amplitudes of ``e^{-itH}`` for mutually commuting terms.
+        """Pauli amplitudes of ``e^{-itH}`` for groups of anticommuting terms.
 
-        Expands ``prod_k (cos(h_k t) I - i sin(h_k t) P_k)`` with exact
-        phase tracking; for an array of times each amplitude is the array of
-        its values at those times. Returns None when the term set is too
-        large or not pairwise commuting.
+        The terms must split into mutually commuting groups of pairwise
+        anticommuting strings. A group H_g squares to ``w^2 I`` (``w`` the norm
+        of its coefficients), so ``e^{-itH}`` is the product over groups of
+        ``cos(w t) I - i sin(w t)/w H_g``, expanded with exact phase tracking;
+        for an array of times each amplitude is the array of its values at
+        those times. Returns None for a term set too large or not so split.
         """
         if len(terms) > _STRUCTURED_TERM_CAP:
             return None
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                if pl.symplectic_product(terms[i][0], terms[j][0]):
-                    return None
-        amps = {PauliString.identity(self.n): np.ones(np.shape(t), dtype=complex)}
+        groups = []
         for p, c in terms:
-            cos_a = np.cos(c * t)
-            sin_a = np.sin(c * t)
+            # p joins the one group it wholly anticommutes with, or starts one if none.
+            anti = [sum(pl.symplectic_product(p, q) for q, _ in g) for g in groups]
+            if not any(anti):
+                groups.append([(p, c)])
+            elif sum(anti) == max(anti) == len(g := groups[anti.index(max(anti))]):
+                g.append((p, c))
+            else:
+                return None
+        amps = {PauliString.identity(self.n): np.ones(np.shape(t), dtype=complex)}
+        for group in groups:
+            # A one-term group keeps cos(h t), sin(h t): the commuting case to the bit.
+            many = len(group) > 1
+            w = math.hypot(*(c for _, c in group)) if many else group[0][1]
+            cos_a, sin_a = np.cos(w * t), -1j * np.sin(w * t)
+            factor = [(p, sin_a * (c / w) if many else sin_a) for p, c in group]
             nxt = {}
             for q, amp in amps.items():
                 nxt[q] = nxt.get(q, 0.0) + amp * cos_a
-                rq, phase = pl.multiply(p, q)
-                nxt[rq] = nxt.get(rq, 0.0) + amp * phase * (-1j * sin_a)
+                for p, f in factor:
+                    rq, phase = pl.multiply(p, q)
+                    nxt[rq] = nxt.get(rq, 0.0) + amp * phase * f
             amps = nxt
         return amps
 

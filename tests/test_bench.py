@@ -76,3 +76,5 @@ def test_sweep_validation(monkeypatch):
         sweep([8, 16], [0.05, 0.0], trials=3, base_seed=0)
     with pytest.raises(ValueError, match="got 300"):
         sweep([4, 300], [0.1], trials=1, base_seed=0, n=4)
+    with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
+        sweep([2], [0.1], trials=1, base_seed=0, n=0)

@@ -496,18 +496,75 @@ def test_sample_restricted_charges_like_evolve_plus_sample():
     assert a.ledger == b.ledger
 
 
+def test_closed_form_groups_match_dense_expm():
+    # Independent dense oracle: kron-built matrix, scipy expm, Pauli transform.
+    # The closed form must accept exactly the sets whose anticommutation graph
+    # is a disjoint union of cliques (no a ~ b ~ c with a, c commuting), and
+    # match expm at a scalar time and at every entry of an array of times.
+    def check(labelled, t):
+        h = H(len(next(iter(labelled))), labelled)
+        amps = make_oracle(h)._structured_amplitudes(list(h.terms.items()), t)
+        if amps is None:
+            return None
+        for k, tk in enumerate(np.atleast_1d(t).tolist()):
+            want = pauli_transform(expm(-1j * tk * kron_hamiltonian(labelled)))
+            got = _amplitude_vector({p: np.atleast_1d(a)[k] for p, a in amps.items()}, h.n)
+            assert np.abs(got - want).max() < 1e-12
+        return amps
+
+    pair = check({"X": 0.4, "Z": -0.3}, 1.7)
+    assert set(pair) == {P("I"), P("X"), P("Z")}
+    assert check({"X": 0.4, "Y": 0.7, "Z": -0.3}, np.array([0.0, 0.6, 2.5])) is not None
+    assert len(check({"XI": 0.4, "ZI": 0.3, "IZ": 0.9}, np.array([0.3, 1.1]))) == 6
+    assert check({"XI": 0.4, "ZI": 0.3, "ZZ": 0.2}, 1.0) is None
+
+    rng = np.random.default_rng(25)
+    shapes = set()
+    for _ in range(1500):
+        n = int(rng.integers(1, 5))
+        size = int(rng.integers(1, min(6, 4**n - 1) + 1))
+        indices = rng.choice(np.arange(1, 4**n), size=size, replace=False).tolist()
+        labelled = {PauliString.from_index(n, i).label: rng.uniform(-1, 1) for i in indices}
+        strings = [P(label) for label in labelled]
+        anti = [[pl.symplectic_product(a, b) for b in strings] for a in strings]
+        path = any(
+            anti[a][b] and anti[b][c] and not anti[a][c] and a != c
+            for a in range(size)
+            for b in range(size)
+            for c in range(size)
+        )
+        t = rng.uniform(0.0, 3.0, size=3) if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
+        accepted = check(labelled, t) is not None
+        assert accepted != path
+        if accepted:
+            shapes.add(max(map(sum, anti)) + 1)
+    assert {1, 2, 3} <= shapes
+
+
 def test_sample_restricted_noncommuting_runs_compressed():
-    h = H(1, {"X": 0.4, "Z": 0.3})  # anticommuting survivors
+    # XI anticommutes with ZI and ZZ, which commute with each other, so the
+    # terms form no anticommuting groups and the query runs on the 2-qubit
+    # image (one pair, one central string). On qubit 2's Z eigenvalue z the
+    # Hamiltonian is 0.4 X + (0.3 + 0.2 z) Z, exponentiated in closed form.
+    h = H(2, {"XI": 0.4, "ZI": 0.3, "ZZ": 0.2})
     oracle = make_oracle(h, seed=7)
     assert oracle._structured_amplitudes(list(h.terms.items()), 1.0) is None
     coeffs, basis = oracle._simulate([], 1.0, None)
-    assert basis.qubits == 1 and coeffs.shape == (4,)
+    assert basis.qubits == 2 and coeffs.shape == (16,)
     amps = _amplitudes((coeffs, basis))
-    assert set(amps) == {P("I"), P("X"), P("Y"), P("Z")}
-    assert abs(amps[P("Y")]) < 1e-15
-    assert abs(amps[P("X")] + 1j * math.sin(0.5) * 0.8) < 1e-15
+    assert set(amps) == {P(a + b) for a in "IXYZ" for b in "IZ"}
+    expected = {}
+    for z in (1, -1):
+        w = math.hypot(0.4, 0.3 + 0.2 * z)
+        rotation = {"I": math.cos(w), "X": -0.4j * math.sin(w) / w}
+        rotation["Z"] = -1j * (0.3 + 0.2 * z) * math.sin(w) / w
+        for a, amp in rotation.items():
+            expected[P(a + "I")] = expected.get(P(a + "I"), 0.0) + amp / 2
+            expected[P(a + "Z")] = expected.get(P(a + "Z"), 0.0) + z * amp / 2
+    for p, amp in amps.items():
+        assert abs(amp - expected.get(p, 0.0)) < 1e-15
     outcome = oracle.sample_restricted([], 1.0)
-    assert outcome.n == 1
+    assert outcome.n == 2
 
 
 def _amplitudes(simulated):
@@ -674,8 +731,9 @@ def _exact_ledger(ledger):
     return {k: v.hex() if isinstance(v, float) else v for k, v in vars(ledger).items()}
 
 
-# Stages below whose anticommuting survivor sets fall between settled rounds.
-_MIXED_STAGES = {(3, 2), (7, 4)}
+# Stages below whose survivors form no anticommuting groups in some rounds
+# (queried), which fall between rounds settled in closed form.
+_MIXED_STAGES = {(4, 15), (6, 9)}
 
 
 @pytest.mark.parametrize(
@@ -695,6 +753,10 @@ _MIXED_STAGES = {(3, 2), (7, 4)}
         (7, 4, {}),
         (3, 2, {"spam_lambda": 0.05}),
         (7, 4, {"spam_lambda": 0.05}),
+        (4, 15, {}),
+        (6, 9, {}),
+        (4, 15, {"spam_lambda": 0.05}),
+        (6, 9, {"spam_lambda": 0.05}),
     ],
 )
 def test_support_stage_matches_per_round_sampling(n, s, cfg, monkeypatch):
@@ -938,9 +1000,10 @@ def test_trotter_query_on_an_empty_span_samples_the_identity():
 
 
 def test_estimate_outside_the_span_reads_zero():
-    # XI and ZI anticommute, so the query runs on their 1-qubit image; IX is
-    # not in their span, so its amplitude is exactly 0 in either mode.
-    h = H(2, {"XI": 0.4, "ZI": 0.3})
+    # XI anticommutes with ZI and ZZ, which commute, so the query runs on
+    # their 2-qubit image; IX is not in their span, so its amplitude is
+    # exactly 0 in either mode.
+    h = H(2, {"XI": 0.4, "ZI": 0.3, "ZZ": 0.2})
     for mode, qs in (("exact", []), ("trotter", [P("IZ")])):
         oracle = make_oracle(h, seed=15, mode=mode)
         _, basis = oracle._simulate(qs, 0.9, (P("XI"), 0.25))
