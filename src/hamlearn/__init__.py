@@ -16,8 +16,8 @@ from .distances import (
     half_diamond_unitary,
 )
 from .errors import CapacityError, DimensionMismatchError
-from .hamiltonian import SparseHamiltonian, SpectralData, random_instance
-from .isolation import IsolationDraw, draw_isolation, draw_isolation_for_target, vv_statistics
+from .hamiltonian import SparseHamiltonian, random_instance
+from .isolation import IsolationDraw, draw_isolation_for_target, vv_statistics
 from .learner import (
     LearnerParams,
     LearnResult,
@@ -43,11 +43,9 @@ __all__ = [
     "PauliString",
     "ResourceLedger",
     "SparseHamiltonian",
-    "SpectralData",
     "counterexample_family",
     "d_B",
     "d_T",
-    "draw_isolation",
     "draw_isolation_for_target",
     "eigenphase_lower_bound",
     "half_diamond_unitary",

@@ -426,7 +426,7 @@ def eigenphase_lower_bound(h: SparseHamiltonian) -> float:
     separation min(|p(l_j) - p(l_k)|, |q(l_j) - q(l_k)|); for traceless H
     with ||H||_op <= pi/2 this is itself at least ||H||_op / (2 pi).
     """
-    evals = h.spectral_data().eigenvalues
+    evals = np.linalg.eigvalsh(h.dense_matrix())
     p = circle_p(evals)
     q = circle_q(evals)
     dp = np.abs(p[:, None] - p[None, :])

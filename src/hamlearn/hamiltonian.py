@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,14 +22,6 @@ from .pauli import PauliString
 # Coefficients produced by arithmetic below this magnitude are treated as
 # exact zeros (about 100x double-precision epsilon at unit scale).
 ZERO_TOLERANCE = 1e-15
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Sorted eigenvalues and their spread max|lambda_j - lambda_k|."""
-
-    eigenvalues: np.ndarray
-    spread: float
 
 
 class SparseHamiltonian:
@@ -107,12 +98,6 @@ class SparseHamiltonian:
 
     # -- algebra ----------------------------------------------------------
 
-    def effective_support(self, eps: float) -> set[PauliString]:
-        """Terms with ``|h_P| >= eps``."""
-        if eps <= 0:
-            raise ValueError("threshold must be positive")
-        return {p for p, c in self._terms.items() if abs(c) >= eps}
-
     def restrict(self, qs: Iterable[PauliString]) -> "SparseHamiltonian":
         """Keep exactly the terms commuting with every string in ``qs``.
 
@@ -164,17 +149,6 @@ class SparseHamiltonian:
         """Hermitian matrix ``sum_P h_P dense(P)``."""
         return pl.dense_sum(self.n, self._terms)
 
-    def norms(self) -> tuple[float, float, float, float]:
-        """Return ``(l1, l2, linf, op)`` norms of the coefficient vector.
-
-        The operator norm obeys ``s*linf >= op >= linf`` and ``l1 >= op >= l2``.
-        """
-        coeffs = np.array(list(self._terms.values())) if self._terms else np.zeros(0)
-        l1 = float(np.abs(coeffs).sum())
-        l2 = float(np.sqrt((coeffs**2).sum()))
-        linf = float(np.abs(coeffs).max()) if coeffs.size else 0.0
-        return l1, l2, linf, self.op_norm()
-
     def op_norm(self) -> float:
         """Largest |eigenvalue|, from the spectrum of the image under :func:`compress`.
 
@@ -186,11 +160,6 @@ class SparseHamiltonian:
         (image,), _ = compress(self)
         evals = np.linalg.eigvalsh(image.dense_matrix())
         return float(np.abs(evals).max())
-
-    def spectral_data(self) -> SpectralData:
-        """Sorted eigenvalues; spread is ``lambda_max - lambda_min``."""
-        evals = np.sort(np.linalg.eigvalsh(self.dense_matrix()))
-        return SpectralData(evals, float(evals[-1] - evals[0]))
 
     # -- serialization ------------------------------------------------------
 

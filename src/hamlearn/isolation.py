@@ -57,19 +57,6 @@ def targeted_isolation_rounds(s_bound: int, delta: float) -> int:
     return math.ceil(math.log2(2.0 * s_bound / delta) + 2.0)
 
 
-def draw_isolation(
-    h: SparseHamiltonian, s_bound: int, rng: np.random.Generator
-) -> IsolationDraw:
-    """Draw r = ceil(log2 s)+2 uniform strings and filter the support.
-
-    Survivors are computed by symplectic products only; no dense work.
-    """
-    r = isolation_rounds(s_bound)
-    qs = pl.random_uniforms(h.n, r, rng)
-    survivors = frozenset(h.restrict(qs).support)
-    return IsolationDraw(qs=qs, r=r, survivors=survivors)
-
-
 def draw_isolation_for_target(
     h: SparseHamiltonian,
     p0: PauliString,
@@ -103,9 +90,9 @@ def isolation_probability_empirical(
 ) -> float:
     """Fraction of plain isolation draws whose only survivor is ``p0``.
 
-    Uses r = ceil(log2 s)+2 with s the true sparsity, exactly as
-    :func:`draw_isolation` does, but draws every trial's strings as one
-    (trials, r, 2, n) bit array and finds all survivors with
+    A plain draw is r = ceil(log2 s)+2 uniform strings (:func:`isolation_rounds`
+    with s the true sparsity). Every trial's strings are drawn as one
+    (trials, r, 2, n) bit array and all survivors found with
     :func:`pauli.anticommuting`.
     """
     if p0 not in h.support:

@@ -17,7 +17,8 @@ strings involved onto a + b <= n qubits (a anticommuting pairs, b central
 strings; :func:`hamiltonian.compress`) and one ``eigh`` exponentiates the
 image of the restricted Hamiltonian, or in ``trotter`` mode of all of H:
 every factor of the product over the ``2^r`` conjugated summands is that
-exponential conjugated by an image Pauli string. Outcomes are drawn on the
+exponential conjugated by an image Pauli string, and the product is built
+by doubling in 2r matmuls, never holding the factors. Outcomes are drawn on the
 image and only the drawn string is mapped back
 (:meth:`pauli.SymplecticBasis.decode`); an estimate reads the one
 coefficient its target encodes to, so the cost does not grow with n.
@@ -368,27 +369,28 @@ class EvolutionOracle:
         return u
 
     def _execute_trotter(self, qs, t, drift, evolve, images, basis: SymplecticBasis):
-        """Multiply out the second-order product formula for H_{Q_1..Q_r}.
+        """Multiply out the second-order product formula for H_{Q_1..Q_r} by doubling.
 
-        Its factors are e^{-i tau C_S H C_S} over subsets S of the Q_i (C_S their
-        product), each one query to the true evolution for tau = t/(2^{r+1}l)
-        (:meth:`_trotter_schedule`). On the image of ``basis`` C_S acts as X^x Z^z
-        (:meth:`pauli.SymplecticBasis.conjugator`), so factor S reads
-        ``evolve(tau)`` = e^{-i tau H} at rows and columns j ^ x, signed by
-        (-1)^{|j & z|}. With a drift, ``images[1]`` is the unit pulse's image.
+        Its factors F_S = e^{-i tau C_S H C_S} over subsets S of the Q_i (C_S their
+        product) are each one query for tau = t/(2^{r+1}l) (:meth:`_trotter_schedule`);
+        a block is D F_R ... F_1 F_1 ... F_R D, D the drift pulse of unit image
+        ``images[1]``. Subset order doubles, L_i = L_{i-1} ++ C_i L_{i-1} C_i, so
+        level i sets back = (C_i back C_i) back, fwd = fwd (C_i fwd C_i): 2r matmuls.
+        On the image C_i acts as X^x Z^z (``basis.conjugator``), so C_i A C_i
+        is A at rows and columns j ^ x, signed by (-1)^{|j & z|}.
         """
         R, l, tau = self._trotter_schedule(len(qs), t)
-        # Factors in subset order (bit i selects Q_i): conjugating S by Q_i gives S + {i}.
-        factors = [evolve(tau)]
-        rows = np.arange(len(factors[0]))[:, None]
+        back = fwd = evolve(tau)
+        rows = np.arange(len(back))[:, None]
         for q in qs:
             x, z = basis.conjugator(q)
             # (-1)^{|j & z|} (-1)^{|k & z|} = (-1)^{|(j ^ k) & z|} on entry (j, k).
             perm, signs = rows ^ x, 1.0 - 2.0 * (np.bitwise_count((rows ^ rows.T) & z) & 1)
-            factors += [signs * f[perm, perm.T] for f in factors]
-        factors += [_evolution(*eigh(p.dense_matrix()), drift[1] * R * tau) for p in images[1:]]
-        # One block is F_R ... F_1 F_1 ... F_R with F_i applied innermost-first.
-        block = functools.reduce(np.matmul, [*reversed(factors), *factors])
+            back, fwd = signs * back[perm, perm.T] @ back, fwd @ (signs * fwd[perm, perm.T])
+        block = back @ fwd
+        for p in images[1:]:
+            d = _evolution(*eigh(p.dense_matrix()), drift[1] * R * tau)
+            block = d @ block @ d
         return np.linalg.matrix_power(block, l)
 
     # -- Pauli (Bell-basis) sampling ----------------------------------------

@@ -49,16 +49,6 @@ def test_immutable():
         h.n = 3
 
 
-# -- effective support ---------------------------------------------------------
-
-
-def test_effective_support_definition():
-    h = H(2, {"XX": 0.5, "ZI": 0.05})
-    assert h.effective_support(0.1) == {P("XX")}
-    assert h.effective_support(0.6) == set()
-    assert h.effective_support(0.05) == {P("XX"), P("ZI")}
-
-
 # -- restriction ---------------------------------------------------------------
 
 
@@ -132,9 +122,9 @@ def test_dense_eigenvalues_anticommuting_pair():
     expected = np.sqrt(0.34)
     oracle_evals = np.sort(np.linalg.eigvalsh(kron_hamiltonian({"XX": 0.5, "ZI": 0.3})))
     assert np.allclose(oracle_evals, [-expected, -expected, expected, expected])
-    got = H(2, {"XX": 0.5, "ZI": 0.3}).spectral_data()
-    assert np.allclose(got.eigenvalues, oracle_evals)
-    assert np.isclose(got.spread, 2 * expected)
+    got = np.linalg.eigvalsh(H(2, {"XX": 0.5, "ZI": 0.3}).dense_matrix())
+    assert np.allclose(got, oracle_evals)
+    assert np.isclose(got[-1] - got[0], 2 * expected)
 
 
 def test_dense_capacity():
@@ -142,33 +132,44 @@ def test_dense_capacity():
         SparseHamiltonian(13, {PauliString(13, 1, 0): 0.5}).dense_matrix()
 
 
+def _spread(h):
+    """Eigenvalue spread lambda_max - lambda_min (eigvalsh sorts ascending)."""
+    evals = np.linalg.eigvalsh(h.dense_matrix())
+    return float(evals[-1] - evals[0])
+
+
 def test_spectral_examples():
-    data = H(1, {"Z": 1.0}).spectral_data()
-    assert np.allclose(data.eigenvalues, [-1.0, 1.0])
-    assert data.spread == 2.0
-    assert SparseHamiltonian(2).spectral_data().spread == 0.0
+    evals = np.linalg.eigvalsh(H(1, {"Z": 1.0}).dense_matrix())
+    assert np.allclose(evals, [-1.0, 1.0])
+    assert evals[-1] - evals[0] == 2.0
+    assert _spread(SparseHamiltonian(2)) == 0.0
 
 
 def test_spread_at_least_op_norm_for_traceless():
     rng = np.random.default_rng(12)
     for _ in range(30):
         h = random_instance(3, 3, rng)
-        assert h.spectral_data().spread >= h.op_norm() - 1e-12
+        assert _spread(h) >= h.op_norm() - 1e-12
 
 
 # -- norms ----------------------------------------------------------------------
 
 
+def _norms(h):
+    """``(l1, l2, linf, op)`` norms: three of the coefficient vector, then ``op_norm``."""
+    coeffs = np.abs(list(h.terms.values()))
+    return coeffs.sum(), math.sqrt((coeffs**2).sum()), coeffs.max(initial=0.0), h.op_norm()
+
+
 def test_norms_single_term():
-    l1, l2, linf, op = H(1, {"Z": 0.7}).norms()
+    l1, l2, linf, op = _norms(H(1, {"Z": 0.7}))
     assert l1 == l2 == linf == pytest.approx(0.7)
     assert op == pytest.approx(0.7)
 
 
 def test_norms_op_example():
     # 0.3 X + 0.4 Z has eigenvalues +-sqrt(0.09 + 0.16) = +-0.5.
-    _, _, _, op = H(2, {"XI": 0.3, "ZI": 0.4}).norms()
-    assert op == pytest.approx(0.5)
+    assert H(2, {"XI": 0.3, "ZI": 0.4}).op_norm() == pytest.approx(0.5)
 
 
 def test_norm_sandwich_inequalities():
@@ -177,7 +178,7 @@ def test_norm_sandwich_inequalities():
         n = int(rng.integers(1, 7))
         s = int(rng.integers(1, min(8, 4**n - 1) + 1))
         h = random_instance(n, s, rng)
-        l1, l2, linf, op = h.norms()
+        l1, l2, linf, op = _norms(h)
         assert s * linf + 1e-12 >= op >= linf - 1e-12
         assert l1 + 1e-12 >= op >= l2 - 1e-12
 

@@ -6,7 +6,7 @@ import pytest
 from hamlearn import pauli as pl
 from hamlearn.hamiltonian import SparseHamiltonian, random_instance
 from hamlearn.isolation import (
-    draw_isolation,
+    IsolationDraw,
     draw_isolation_for_target,
     isolation_probability_empirical,
     isolation_rounds,
@@ -22,6 +22,13 @@ P = PauliString.from_label
 
 def H(n, labelled):
     return SparseHamiltonian(n, {P(k): v for k, v in labelled.items()})
+
+
+def draw_isolation(h, s_bound, rng):
+    """Per-draw reference: r = ceil(log2 s)+2 uniform strings, survivors by restriction."""
+    r = isolation_rounds(s_bound)
+    qs = pl.random_uniforms(h.n, r, rng)
+    return IsolationDraw(qs=qs, r=r, survivors=frozenset(h.restrict(qs).support))
 
 
 # -- round counts ---------------------------------------------------------------
